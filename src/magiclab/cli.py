@@ -199,7 +199,7 @@ def _cmd_decompose(args) -> int:
     g = _load_graph(args.graph)
     with open(args.labeling, "r", encoding="utf-8") as fh:
         lab = labelings.labeling_from_json(g, fh.read())
-    pieces = semigroups.stanley_decompose(lab)
+    pieces = semigroups.stanley_decompose(lab, budget=_budget(args))
     if args.format == "json":
         payload = [
             {"labels": list(p.labels), "index": labelings.is_magic(p)}

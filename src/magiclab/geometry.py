@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm
 
@@ -77,6 +78,8 @@ def magic_constraints(g: Graph, kind: str) -> PolytopeDescription:
 
 def solve_rational(matrix, rhs) -> Point | None:
     """Unique solution of a square exact linear system, or None if singular."""
+    # Not built on _rref: stopping at the first column without a pivot is
+    # what keeps the many singular subsets of the vertex scan cheap.
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("system must be square with a matching right-hand side")
@@ -97,15 +100,19 @@ def solve_rational(matrix, rhs) -> Point | None:
     return tuple(row[-1] for row in aug)
 
 
-def matrix_rank(rows) -> int:
-    """Rank of a rational matrix given as an iterable of rows."""
+def _rref(rows, ncols: int):
+    """Reduced row echelon form of ``rows`` over their first ``ncols`` columns.
+
+    Returns ``(rows, pivots)``: the reduced rows as lists of fractions and
+    the pivot column of each of the first ``len(pivots)`` rows.  The later
+    rows are zero in the first ``ncols`` columns.
+    """
     work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    row = 0
+    pivots: list[int] = []
     for col in range(ncols):
+        row = len(pivots)
+        if row == len(work):
+            break
         piv = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
         if piv is None:
             continue
@@ -116,11 +123,16 @@ def matrix_rank(rows) -> int:
             if r != row and work[r][col] != 0:
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[row])]
-        rank += 1
-        row += 1
-        if row == len(work):
-            break
-    return rank
+        pivots.append(col)
+    return work, pivots
+
+
+def matrix_rank(rows) -> int:
+    """Rank of a rational matrix given as an iterable of rows."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    return len(_rref(rows, len(rows[0]))[1])
 
 
 def _affine_solution_space(desc: PolytopeDescription):
@@ -130,27 +142,11 @@ def _affine_solution_space(desc: PolytopeDescription):
     None when the system is inconsistent.
     """
     m = desc.num_coords
-    aug = [list(row) + [b] for row, b in zip(desc.rows, desc.rhs)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = aug[row][col]
-        aug[row] = [x / inv for x in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(aug):
-            break
-    for r in range(row, len(aug)):
-        if aug[r][m] != 0:
-            return None
+    aug, pivots = _rref(
+        [list(row) + [b] for row, b in zip(desc.rows, desc.rhs)], m
+    )
+    if any(aug[r][m] != 0 for r in range(len(pivots), len(aug))):
+        return None
     free = [c for c in range(m) if c not in pivots]
     x0 = [Fraction(0)] * m
     for r, col in enumerate(pivots):
@@ -177,20 +173,8 @@ def _canonical_halfspace(coeffs: tuple[Fraction, ...], bound: Fraction):
     return tuple(ints[:-1]), ints[-1]
 
 
-def polytope_vertices(
-    g: Graph, kind: str, *, budget: int = DEFAULT_VERTEX_BUDGET
-) -> list[Point]:
-    """All vertices of the magic polytope, exactly.
-
-    The equality system is eliminated first; every bound becomes a
-    halfspace in the residual coordinates and duplicates are merged.
-    Each subset of dimension-many halfspaces is then set active and
-    solved exactly, keeping solutions that satisfy every constraint.
-    Raises BudgetExceededError (reporting the required budget) when the
-    number of subsets exceeds ``budget``; returns [] for an empty
-    polytope.
-    """
-    _check_kind(kind)
+def _scan_vertices(g: Graph, kind: str, budget: int) -> list[Point]:
+    # The subset scan behind polytope_vertices; see its docstring.
     desc = magic_constraints(g, kind)
     m = desc.num_coords
     par = _affine_solution_space(desc)
@@ -239,6 +223,38 @@ def polytope_vertices(
     return sorted(found)
 
 
+@lru_cache(maxsize=64)
+def _polytope_facts(g: Graph, kind: str, budget: int):
+    """``(vertices, denominator, dimension)`` of one polytope, memoised.
+
+    Always called positionally, so one (graph, kind, budget) is one cache
+    entry.  A budget error raises before the scan and is not cached.
+    """
+    verts = tuple(_scan_vertices(g, _check_kind(kind), budget))
+    den = lcm(*(point_denominator(v) for v in verts))
+    if not verts:
+        return verts, den, -1
+    first = verts[0]
+    dim = matrix_rank([[a - b for a, b in zip(v, first)] for v in verts[1:]])
+    return verts, den, dim
+
+
+def polytope_vertices(
+    g: Graph, kind: str, *, budget: int = DEFAULT_VERTEX_BUDGET
+) -> list[Point]:
+    """All vertices of the magic polytope, exactly, in sorted order.
+
+    The equality system is eliminated first; every bound becomes a
+    halfspace in the residual coordinates and duplicates are merged.
+    Each subset of dimension-many halfspaces is then set active and
+    solved exactly, keeping solutions that satisfy every constraint.
+    Raises BudgetExceededError (reporting the required budget) when the
+    number of subsets exceeds ``budget``; returns [] for an empty
+    polytope.  The result is a fresh list on every call.
+    """
+    return list(_polytope_facts(g, kind, budget)[0])
+
+
 def point_denominator(pt) -> int:
     """Least positive d with d * pt integral (1 for the empty point)."""
     return lcm(*(Fraction(c).denominator for c in pt)) if pt else 1
@@ -248,22 +264,17 @@ def polytope_denominator(
     g: Graph, kind: str, *, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> int:
     """Least dilation factor whose polytope has all-integral vertices."""
-    verts = polytope_vertices(g, kind, budget=budget)
+    verts, den, _ = _polytope_facts(g, kind, budget)
     if not verts:
         raise ValueError("polytope is empty")
-    return lcm(*(point_denominator(v) for v in verts))
+    return den
 
 
 def polytope_dimension(
     g: Graph, kind: str, *, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> int:
     """Dimension of the affine hull of the vertex set; -1 when empty."""
-    verts = polytope_vertices(g, kind, budget=budget)
-    if not verts:
-        return -1
-    first = verts[0]
-    diffs = [[a - b for a, b in zip(v, first)] for v in verts[1:]]
-    return matrix_rank(diffs)
+    return _polytope_facts(g, kind, budget)[2]
 
 
 def format_point(pt) -> list[str]:

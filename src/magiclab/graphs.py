@@ -183,45 +183,31 @@ def leaves(g: Graph) -> list[tuple[str, Edge]]:
     return out
 
 
-def _iter_perfect_matchings(g: Graph, loops_cover: bool):
-    n = len(g.vertices)
-    covered: set[str] = set()
-    chosen: list[int] = []
+def _matchings(g: Graph, loops_cover: bool, first: bool) -> list[tuple[int, ...]]:
+    # Perfect matchings are the 0/1 magic labelings of index 1; under
+    # loops_cover=False every loop is capped at 0.  The index search emits
+    # nothing on a graph without edges, so the empty matching of the graph
+    # without vertices is returned here.
+    from . import labelings as _labelings
 
-    def extend(vi: int):
-        while vi < n and g.vertices[vi] in covered:
-            vi += 1
-        if vi == n:
-            yield tuple(sorted(chosen))
-            return
-        v = g.vertices[vi]
-        for ei in g.incidence[v]:
-            u, w = g.edges[ei]
-            if u == w:
-                if not loops_cover:
-                    continue
-                covered.add(v)
-                chosen.append(ei)
-                yield from extend(vi + 1)
-                covered.discard(v)
-                chosen.pop()
-            else:
-                other = w if u == v else u
-                if other in covered:
-                    continue
-                covered.add(v)
-                covered.add(other)
-                chosen.append(ei)
-                yield from extend(vi + 1)
-                covered.discard(v)
-                covered.discard(other)
-                chosen.pop()
+    if not g.vertices:
+        return [()]
+    found: list[tuple[int, ...]] = []
 
-    yield from extend(0)
+    def keep(buf):
+        found.append(tuple(i for i, x in enumerate(buf) if x))
+
+    def keep_first(buf):
+        keep(buf)
+        raise _labelings._Stop
+
+    caps = [1 if u != w or loops_cover else 0 for u, w in g.edges]
+    _labelings._search(g, caps, (1,), keep_first if first else keep, None)
+    return found
 
 
 def perfect_matchings(g: Graph, *, loops_cover: bool = True) -> list[tuple[int, ...]]:
-    """All perfect matchings, as sorted tuples of edge indices.
+    """All perfect matchings, as a sorted list of sorted edge-index tuples.
 
     A matching is perfect when every vertex is incident to exactly one
     chosen edge.  Under the default convention a loop covers its vertex
@@ -229,11 +215,11 @@ def perfect_matchings(g: Graph, *, loops_cover: bool = True) -> list[tuple[int, 
     in bijection on loop graphs.  Pass ``loops_cover=False`` for the
     stricter reading under which loops never belong to a matching.
     """
-    return list(_iter_perfect_matchings(g, loops_cover))
+    return sorted(_matchings(g, loops_cover, first=False))
 
 
 def has_perfect_matching(g: Graph, *, loops_cover: bool = True) -> bool:
-    return next(_iter_perfect_matchings(g, loops_cover), None) is not None
+    return bool(_matchings(g, loops_cover, first=True))
 
 
 def matching_preclusion_class(g: Graph) -> str:

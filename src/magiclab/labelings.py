@@ -179,12 +179,53 @@ def _run_index_dfs(g: Graph, target: int, caps, sink, budget, nodes) -> None:
     step(0)
 
 
-def _index_upper_bound(g: Graph, caps) -> int:
+class _Stop(Exception):
+    """Raised by a sink to end a search early."""
+
+
+def _search(g: Graph, caps, indices, sink, budget) -> None:
+    """Run the index DFS for each target in ``indices`` under one node count.
+
+    A sink may raise ``_Stop`` to end the whole search after a solution.
+    """
+    nodes = [0]
+    try:
+        for r in indices:
+            _run_index_dfs(g, r, caps, sink, budget, nodes)
+    except _Stop:
+        pass
+
+
+def _all_indices(g: Graph, caps) -> range:
     # No vertex sum can exceed the total cap of its incident edges, so the
     # smallest vertex capacity bounds the index of any feasible labeling.
-    return min(
-        (sum(caps[ei] for ei in g.incidence[v]) for v in g.vertices), default=0
+    return range(
+        min((sum(caps[ei] for ei in g.incidence[v]) for v in g.vertices), default=0)
+        + 1
     )
+
+
+def _collect(g: Graph, caps, indices, budget) -> list[Labeling]:
+    out: list[Labeling] = []
+    _search(g, caps, indices, lambda buf: out.append(Labeling(g, tuple(buf))), budget)
+    return out
+
+
+def _count(g: Graph, caps, indices, budget) -> int:
+    total = 0
+
+    def bump(_buf):
+        nonlocal total
+        total += 1
+
+    _search(g, caps, indices, bump, budget)
+    return total
+
+
+def _uniform_caps(g: Graph, k: int) -> list[int]:
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return [k] * len(g.edges)
 
 
 def enumerate_magic_k(g: Graph, k: int, *, budget: int | None = None) -> list[Labeling]:
@@ -194,31 +235,14 @@ def enumerate_magic_k(g: Graph, k: int, *, budget: int | None = None) -> list[La
     so the results are unique by construction.  ``budget`` caps the
     total number of DFS label assignments.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    caps = [k] * len(g.edges)
-    out: list[Labeling] = []
-    nodes = [0]
-    for r in range(_index_upper_bound(g, caps) + 1):
-        _run_index_dfs(g, r, caps, lambda buf: out.append(Labeling(g, tuple(buf))), budget, nodes)
-    return out
+    caps = _uniform_caps(g, k)
+    return _collect(g, caps, _all_indices(g, caps), budget)
 
 
 def count_magic_k(g: Graph, k: int, *, budget: int | None = None) -> int:
     """Number of magic labelings with every label at most k (streamed)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    caps = [k] * len(g.edges)
-    total = 0
-    nodes = [0]
-
-    def bump(_buf):
-        nonlocal total
-        total += 1
-
-    for r in range(_index_upper_bound(g, caps) + 1):
-        _run_index_dfs(g, r, caps, bump, budget, nodes)
-    return total
+    caps = _uniform_caps(g, k)
+    return _count(g, caps, _all_indices(g, caps), budget)
 
 
 def enumerate_index_k(g: Graph, k: int, *, budget: int | None = None) -> list[Labeling]:
@@ -227,27 +251,12 @@ def enumerate_index_k(g: Graph, k: int, *, budget: int | None = None) -> list[La
     Labels are automatically at most k, since each edge label is bounded
     by the sum at either endpoint.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    caps = [k] * len(g.edges)
-    out: list[Labeling] = []
-    _run_index_dfs(g, k, caps, lambda buf: out.append(Labeling(g, tuple(buf))), budget, [0])
-    return out
+    return _collect(g, _uniform_caps(g, k), (k,), budget)
 
 
 def count_index_k(g: Graph, k: int, *, budget: int | None = None) -> int:
     """Number of magic labelings with index exactly k (streamed)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    caps = [k] * len(g.edges)
-    total = 0
-
-    def bump(_buf):
-        nonlocal total
-        total += 1
-
-    _run_index_dfs(g, k, caps, bump, budget, [0])
-    return total
+    return _count(g, _uniform_caps(g, k), (k,), budget)
 
 
 def enumerate_magic_bounded(g: Graph, caps, *, budget: int | None = None) -> list[Labeling]:
@@ -257,11 +266,7 @@ def enumerate_magic_bounded(g: Graph, caps, *, budget: int | None = None) -> lis
         raise ValueError("caps length must equal the edge count")
     if any(c < 0 for c in caps):
         raise ValueError("caps must be nonnegative")
-    out: list[Labeling] = []
-    nodes = [0]
-    for r in range(_index_upper_bound(g, caps) + 1):
-        _run_index_dfs(g, r, caps, lambda buf: out.append(Labeling(g, tuple(buf))), budget, nodes)
-    return out
+    return _collect(g, caps, _all_indices(g, caps), budget)
 
 
 def labeling_to_json(lab: Labeling) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from . import geometry, labelings
 from .graphs import Graph
@@ -225,13 +225,8 @@ def ehrhart_of_polytope(
     its period minimized.  ``budget`` caps enumeration nodes and
     ``vertex_budget`` the vertex-enumeration subsets.
     """
-    verts = geometry.polytope_vertices(g, kind, budget=vertex_budget)
-    if not verts:
-        raise ValueError("polytope is empty")
-    den = lcm(*(geometry.point_denominator(v) for v in verts))
-    first = verts[0]
-    diffs = [[a - b for a, b in zip(v, first)] for v in verts[1:]]
-    dim = geometry.matrix_rank(diffs)
+    den = geometry.polytope_denominator(g, kind, budget=vertex_budget)
+    dim = geometry.polytope_dimension(g, kind, budget=vertex_budget)
     count = labelings.count_magic_k if kind == "P" else labelings.count_index_k
     values = [count(g, k, budget=budget) for k in range(den * (dim + 2))]
     return fit_quasipolynomial(values, den, dim).normalized()

@@ -189,7 +189,7 @@ def decompose_over_generators(
     return search(target, 0)
 
 
-def stanley_decompose(lab: Labeling) -> list[Labeling]:
+def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Labeling]:
     """Split a magic labeling into magic pieces of index 1 or 2.
 
     Pieces sum to the input entrywise.  On bipartite graphs every piece
@@ -197,7 +197,8 @@ def stanley_decompose(lab: Labeling) -> list[Labeling]:
     zero labeling decomposes into the empty list.  Search is a full
     backtracking extraction, so a greedy dead end cannot cause a bogus
     failure; an actual failure is a ConsistencyError because such a
-    decomposition always exists.
+    decomposition always exists.  ``budget`` caps the search nodes of
+    the enumeration of candidate pieces.
     """
     idx = is_magic(lab)
     if idx is None:
@@ -210,7 +211,7 @@ def stanley_decompose(lab: Labeling) -> list[Labeling]:
     caps = [min(x, 2) for x in lab.labels]
     pool = [
         p
-        for p in enumerate_magic_bounded(g, caps)
+        for p in enumerate_magic_bounded(g, caps, budget=budget)
         if is_magic(p) in allowed
     ]
     pool.sort(key=lambda p: (is_magic(p), p.labels))
@@ -284,15 +285,6 @@ def certify_small_quasiperiod(
         bipartite,
         forced_edge=edge,
         vacuous=vacuous,
-    )
-
-
-def element_to_json(elem: SemigroupElement) -> str:
-    import json
-
-    return json.dumps(
-        {"labels": list(elem.labeling.labels), "height": elem.height},
-        separators=(",", ":"),
     )
 
 

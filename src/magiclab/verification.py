@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import geometry, labelings, quasipolynomials, semigroups
 from .graphs import (
@@ -72,11 +71,6 @@ def corpus() -> list[tuple[str, Graph]]:
 
 
 @lru_cache(maxsize=None)
-def _vertices_p(g: Graph):
-    return geometry.polytope_vertices(g, "P")
-
-
-@lru_cache(maxsize=None)
 def _ehrhart_p(g: Graph) -> Quasipolynomial:
     return quasipolynomials.ehrhart_of_polytope(g, "P")
 
@@ -121,7 +115,7 @@ def check_closed_form_counts() -> str | None:
 def check_gn_vertex_denominators() -> str | None:
     for n in range(2, 6):
         g = make_gn(n)
-        verts = _vertices_p(g)
+        verts = geometry.polytope_vertices(g, "P")
         if len(verts) != n + 2:
             return f"n={n}: {len(verts)} vertices, expected {n + 2}"
         expected = {tuple(Fraction(0) for _ in g.edges)}
@@ -130,7 +124,7 @@ def check_gn_vertex_denominators() -> str | None:
         expected.add(tuple(Fraction(x, n - 1) for x in lstar(n).labels))
         if set(verts) != expected:
             return f"n={n}: vertex set mismatch"
-        den = lcm(*(geometry.point_denominator(v) for v in verts))
+        den = geometry.polytope_denominator(g, "P")
         if den != n - 1:
             return f"n={n}: denominator {den}, expected {n - 1}"
     return None
@@ -191,7 +185,7 @@ def check_minimum_quasiperiod_values() -> str | None:
 
 def check_quasiperiod_divides_denominator() -> str | None:
     for name, g in corpus():
-        den = lcm(*(geometry.point_denominator(v) for v in _vertices_p(g)))
+        den = geometry.polytope_denominator(g, "P")
         mqp = _ehrhart_p(g).minimum_quasiperiod()
         if den % mqp:
             return f"{name}: quasiperiod {mqp} does not divide denominator {den}"

@@ -138,6 +138,23 @@ class TestEhrhart:
         data = json.loads(capsys.readouterr().out)
         assert data["constituents"] == [["1", "2", "1"]]
 
+    def test_vertex_scan_runs_once(self, g4_path, capsys, monkeypatch):
+        # 1,820 subsets in one vertex scan plus one solve per fit residue.
+        from magiclab import geometry
+
+        monkeypatch.delenv("MAGIC_BUDGET", raising=False)
+        geometry._polytope_facts.cache_clear()
+        real = geometry.solve_rational
+        calls = []
+
+        def counted(matrix, rhs):
+            calls.append(len(matrix))
+            return real(matrix, rhs)
+
+        monkeypatch.setattr(geometry, "solve_rational", counted)
+        assert main(["ehrhart", "--graph", g4_path]) == 0
+        assert len(calls) == 1820 + 3
+
     def test_csv_not_offered(self, g2_path):
         with pytest.raises(SystemExit) as err:
             main(["ehrhart", "--graph", g2_path, "--format", "csv"])
@@ -196,6 +213,16 @@ class TestDecompose:
         data = json.loads(capsys.readouterr().out)
         assert len(data) == 3 and all(p["index"] == 1 for p in data)
 
+    def test_budget_exit_code(self, tmp_path, capsys):
+        gpath = tmp_path / "g3.json"
+        gpath.write_text(graph_to_json(make_gn(3)))
+        lpath = tmp_path / "lab.json"
+        lpath.write_text(labeling_to_json(lstar(3)))
+        argv = ["decompose", "--graph", str(gpath), "--labeling", str(lpath)]
+        assert main(argv + ["--budget", "5"]) == 3
+        assert "budget" in capsys.readouterr().err
+        assert main(argv) == 0
+
     def test_hash_mismatch(self, tmp_path, capsys):
         gpath = tmp_path / "g4.json"
         gpath.write_text(graph_to_json(make_gn(4)))
@@ -242,6 +269,10 @@ class TestBudgets:
     def test_vertices_budget_exit_code(self, g4_path, capsys):
         assert main(["vertices", "--graph", g4_path, "--budget", "5"]) == 3
         assert "budget" in capsys.readouterr().err
+
+    def test_vertices_budget_after_a_cached_run(self, g4_path, capsys):
+        assert main(["vertices", "--graph", g4_path]) == 0
+        assert main(["vertices", "--graph", g4_path, "--budget", "5"]) == 3
 
     def test_env_var_budget(self, g4_path, capsys, monkeypatch):
         monkeypatch.setenv("MAGIC_BUDGET", "5")

@@ -227,7 +227,27 @@ class TestPolytopeDimension:
             assert polytope_dimension(g, "Q") < polytope_dimension(g, "P")
 
 
+class TestFactsCache:
+    def test_small_budget_raises_after_a_cached_scan(self):
+        g = make_gn(4)
+        assert len(polytope_vertices(g, "P")) == 6
+        with pytest.raises(BudgetExceededError) as err:
+            polytope_vertices(g, "P", budget=10)
+        assert err.value.required == 1820
+
+    def test_returned_list_is_a_copy(self):
+        g = make_gn(3)
+        first = polytope_vertices(g, "P")
+        expected = list(first)
+        first.clear()
+        first.append(frac_point(7))
+        assert polytope_vertices(g, "P") == expected
+
+
 def test_matrix_rank_basics():
     assert matrix_rank([]) == 0
     assert matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert matrix_rank([[1, 0], [0, 1]]) == 2
+    assert matrix_rank([[0, 0], [0, 0]]) == 0
+    assert matrix_rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+    assert matrix_rank(iter([[0, 1], [1, 0], [1, 1]])) == 2

@@ -277,6 +277,35 @@ class TestPerfectMatchings:
         assert perfect_matchings(g) == [(0, 1)]
         assert perfect_matchings(g, loops_cover=False) == []
 
+    def test_empty_graph_has_the_empty_matching(self):
+        g = Graph((), ())
+        for loops_cover in (True, False):
+            assert perfect_matchings(g, loops_cover=loops_cover) == [()]
+            assert has_perfect_matching(g, loops_cover=loops_cover)
+
+    def test_isolated_vertex_has_none(self):
+        for g in [
+            Graph(("a",), ()),
+            Graph(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "a"))),
+        ]:
+            assert perfect_matchings(g) == []
+            assert not has_perfect_matching(g)
+
+    def test_output_is_sorted(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            vs = [f"v{i}" for i in range(rng.randint(2, 7))]
+            pairs = list(itertools.combinations(vs, 2))
+            edges = rng.sample(pairs, rng.randint(1, len(pairs)))
+            edges += [(v, v) for v in rng.sample(vs, rng.randint(0, 2))]
+            rng.shuffle(edges)
+            g = Graph(tuple(vs), tuple(edges))
+            for loops_cover in (True, False):
+                found = perfect_matchings(g, loops_cover=loops_cover)
+                assert found == sorted(found)
+                assert all(list(m) == sorted(m) for m in found)
+                assert has_perfect_matching(g, loops_cover=loops_cover) == bool(found)
+
 
 class TestMatchingPreclusion:
     def test_single_edge(self):

@@ -11,94 +11,85 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import geometry, labelings, quasipolynomials, semigroups, verification
+from . import geometry, graphs, labelings, quasipolynomials, semigroups, verification
 from .errors import BudgetExceededError
-from .graphs import (
-    graph_from_json,
-    graph_to_json,
-    is_bipartite,
-    leaves,
-    make_gn,
-    make_gnp,
-    matching_preclusion_class,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-DEFAULT_BUDGET = 10**7
-
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    raw = os.environ.get("MAGIC_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"MAGIC_BUDGET must be an integer, got {raw!r}")
+    budget = args.budget
+    if budget is None:
+        raw = os.environ.get("MAGIC_BUDGET")
+        if raw is None:
+            return geometry.DEFAULT_VERTEX_BUDGET
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ValueError(f"MAGIC_BUDGET must be an integer, got {raw!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    return budget
 
 
 def _load_graph(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(fh.read())
+        return graphs.graph_from_json(fh.read())
 
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+def _emit(fmt: str, columns, rows, human) -> None:
+    """Print a table whose rows are tuples in ``columns`` order.
+
+    Cells are already in output form (counts as strings), so ``json``
+    prints one object per row, ``csv`` a header and then the rows, and
+    ``human`` the line ``human(row)`` for each row.
+    """
+    if fmt == "json":
+        for row in rows:
+            _print_json(dict(zip(columns, row)))
+    elif fmt == "csv":
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(map(str, row)))
+    else:
+        for row in rows:
+            print(human(row))
+
+
 def _cmd_count(args) -> int:
     g = _load_graph(args.graph)
     value = labelings.count_magic_k(g, args.k, budget=_budget(args))
-    if args.format == "json":
-        _print_json({"k": args.k, "count": str(value)})
-    elif args.format == "csv":
-        print("k,count")
-        print(f"{args.k},{value}")
-    else:
-        print(value)
+    _emit(args.format, ("k", "count"), [(args.k, str(value))], lambda row: row[1])
     return EXIT_OK
 
 
 def _cmd_series(args) -> int:
+    if args.kmax < 0:
+        raise ValueError("kmax must be nonnegative")
     g = _load_graph(args.graph)
     budget = _budget(args)
-    rows = []
-    for k in range(args.kmax + 1):
-        row = {"k": k, "magic_count": labelings.count_magic_k(g, k, budget=budget)}
-        if args.with_index:
-            row["index_count"] = labelings.count_index_k(g, k, budget=budget)
-        rows.append(row)
-    if args.format == "json":
-        for row in rows:
-            _print_json({k: str(v) if k != "k" else v for k, v in row.items()})
-    elif args.format == "csv":
-        header = "k,magic_count" + (",index_count" if args.with_index else "")
-        print(header)
-        for row in rows:
-            cells = [str(row["k"]), str(row["magic_count"])]
-            if args.with_index:
-                cells.append(str(row["index_count"]))
-            print(",".join(cells))
-    else:
-        for row in rows:
-            cells = [str(row["k"]), str(row["magic_count"])]
-            if args.with_index:
-                cells.append(str(row["index_count"]))
-            print("\t".join(cells))
+    columns = ("k", "magic_count")
+    counters = [labelings.count_magic_k]
+    if args.with_index:
+        columns += ("index_count",)
+        counters.append(labelings.count_index_k)
+    rows = [
+        (k, *(str(count(g, k, budget=budget)) for count in counters))
+        for k in range(args.kmax + 1)
+    ]
+    _emit(args.format, columns, rows, lambda row: "\t".join(map(str, row)))
     return EXIT_OK
 
 
 def _format_polynomial(coeffs) -> str:
-    if not coeffs:
-        return "0"
     terms = []
     for i, c in enumerate(coeffs):
         if c == 0:
@@ -114,21 +105,14 @@ def _format_polynomial(coeffs) -> str:
 
 def _cmd_ehrhart(args) -> int:
     g = _load_graph(args.graph)
-    q = quasipolynomials.ehrhart_of_polytope(
-        g, args.polytope, budget=_budget(args), vertex_budget=_budget(args)
-    )
-    den = geometry.polytope_denominator(g, args.polytope, budget=_budget(args))
+    budget = _budget(args)
+    q = quasipolynomials.ehrhart_of_polytope(g, args.polytope, budget=budget)
+    den = geometry.polytope_denominator(g, args.polytope, budget=budget)
     mqp = q.minimum_quasiperiod()
     if args.format == "json":
-        _print_json(
-            {
-                "polytope": args.polytope,
-                "period": q.period,
-                "constituents": [[str(c) for c in cs] for cs in q.constituents],
-                "minimum_quasiperiod": mqp,
-                "denominator": den,
-            }
-        )
+        payload = json.loads(q.to_json())
+        payload.update(polytope=args.polytope, denominator=den, minimum_quasiperiod=mqp)
+        _print_json(payload)
     else:
         print(f"polytope: {args.polytope}")
         print(f"denominator: {den}")
@@ -142,57 +126,40 @@ def _cmd_ehrhart(args) -> int:
 def _cmd_vertices(args) -> int:
     g = _load_graph(args.graph)
     verts = geometry.polytope_vertices(g, args.polytope, budget=_budget(args))
+    rows = [tuple(geometry.format_point(v)) for v in verts]
     if args.format == "json":
-        print(
-            json.dumps(
-                [geometry.format_point(v) for v in verts],
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    elif args.format == "csv":
-        print(",".join(f"e{i}" for i in range(len(g.edges))))
-        for v in verts:
-            print(",".join(geometry.format_point(v)))
+        _print_json(rows)
     else:
-        for v in verts:
-            print("(" + ", ".join(geometry.format_point(v)) + ")")
+        columns = tuple(f"e{i}" for i in range(len(g.edges)))
+        _emit(args.format, columns, rows, lambda row: "(" + ", ".join(row) + ")")
     return EXIT_OK
 
 
 def _cmd_cf(args) -> int:
     g = _load_graph(args.graph)
-    elems = semigroups.cf_elements(g, args.polytope, budget=_budget(args))
-    refuted = []
-    verdicts = []
-    if args.verify:
-        for elem in elems:
-            verdict = semigroups.verify_completely_fundamental(
-                g, args.polytope, elem, args.m_max, budget=_budget(args)
-            )
-            verdicts.append(verdict)
-            if verdict.refuted:
-                refuted.append(elem)
+    budget = _budget(args)
+    elems = semigroups.cf_elements(g, args.polytope, budget=budget)
+    verdicts = [
+        semigroups.verify_completely_fundamental(
+            g, args.polytope, elem, args.m_max, budget=budget
+        )
+        for elem in (elems if args.verify else ())
+    ]
     if args.format == "json":
-        payload = []
-        for i, elem in enumerate(elems):
-            entry = {"labels": list(elem.labeling.labels), "height": elem.height}
-            if args.verify:
-                entry["refuted"] = verdicts[i].refuted
-            payload.append(entry)
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        payload = [
+            {"labels": list(e.labeling.labels), "height": e.height} for e in elems
+        ]
+        for entry, v in zip(payload, verdicts):
+            entry["refuted"] = v.refuted
+        _print_json(payload)
     else:
-        for i, elem in enumerate(elems):
-            line = f"labels={list(elem.labeling.labels)} height={elem.height}"
-            if args.verify:
-                v = verdicts[i]
-                line += (
-                    f" refuted at m={v.m}" if v.refuted else f" unrefuted up to m={v.m_max}"
-                )
-            print(line)
-    if refuted:
-        return EXIT_VERIFY
-    return EXIT_OK
+        notes = [
+            f" refuted at m={v.m}" if v.refuted else f" unrefuted up to m={v.m_max}"
+            for v in verdicts
+        ] or [""] * len(elems)
+        for elem, note in zip(elems, notes):
+            print(f"labels={list(elem.labeling.labels)} height={elem.height}{note}")
+    return EXIT_VERIFY if any(v.refuted for v in verdicts) else EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
@@ -205,7 +172,7 @@ def _cmd_decompose(args) -> int:
             {"labels": list(p.labels), "index": labelings.is_magic(p)}
             for p in pieces
         ]
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _print_json(payload)
     else:
         if not pieces:
             print("zero labeling: empty decomposition")
@@ -217,9 +184,9 @@ def _cmd_decompose(args) -> int:
 def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
     budget = _budget(args)
-    coloring = is_bipartite(g)
-    leaf_list = leaves(g)
-    mprec = matching_preclusion_class(g)
+    coloring = graphs.is_bipartite(g)
+    leaf_list = graphs.leaves(g)
+    mprec = graphs.matching_preclusion_class(g)
     cert = semigroups.certify_small_quasiperiod(g, budget=budget)
     edge = cert.forced_edge
     if args.format == "json":
@@ -247,12 +214,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.family == "gn":
-        g = make_gn(args.n)
+        g = graphs.make_gn(args.n)
     else:
         if args.p is None:
             raise ValueError("family gnp requires -p")
-        g = make_gnp(args.n, args.p)
-    text = graph_to_json(g)
+        g = graphs.make_gnp(args.n, args.p)
+    text = graphs.graph_to_json(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -263,13 +230,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_fn(args) -> int:
     value = quasipolynomials.f_n(args.n, args.k)
-    if args.format == "json":
-        _print_json({"n": args.n, "k": args.k, "value": str(value)})
-    elif args.format == "csv":
-        print("n,k,value")
-        print(f"{args.n},{args.k},{value}")
-    else:
-        print(value)
+    rows = [(args.n, args.k, str(value))]
+    _emit(args.format, ("n", "k", "value"), rows, lambda row: row[2])
     return EXIT_OK
 
 
@@ -289,102 +251,93 @@ def _cmd_verify_paper(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-def _add_graph_arg(p) -> None:
-    p.add_argument("--graph", required=True, help="path to a graph JSON file")
-
-
-def _add_format_arg(p, choices=("human", "json", "csv")) -> None:
-    p.add_argument("--format", choices=choices, default="human")
-
-
-def _add_budget_arg(p) -> None:
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="search budget (default MAGIC_BUDGET or 10^7)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magiclab",
         description="Exact counting and polytope analysis of magic edge labelings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    table, report = ("human", "json", "csv"), ("human", "json")
 
-    p = sub.add_parser("count", help="count magic labelings with labels <= k")
-    _add_graph_arg(p)
+    def add(name, func, help, formats=table, *, graph=True, polytope=False):
+        # Every subcommand that reads a graph searches it, so --graph
+        # brings --budget along.
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if graph:
+            p.add_argument("--graph", required=True, help="path to a graph JSON file")
+        if polytope:
+            p.add_argument("--polytope", choices=("P", "Q"), default="P")
+        if formats:
+            p.add_argument("--format", choices=formats, default="human")
+        if graph:
+            p.add_argument(
+                "--budget",
+                type=int,
+                default=None,
+                help="search budget (default MAGIC_BUDGET or 10^7)",
+            )
+        return p
+
+    p = add("count", _cmd_count, "count magic labelings with labels <= k")
     p.add_argument("-k", type=int, required=True)
-    _add_format_arg(p)
-    _add_budget_arg(p)
-    p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("series", help="count series for k = 0..kmax")
-    _add_graph_arg(p)
+    p = add("series", _cmd_series, "count series for k = 0..kmax")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument(
         "--with-index",
         action="store_true",
         help="also count labelings by exact index",
     )
-    _add_format_arg(p)
-    _add_budget_arg(p)
-    p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("ehrhart", help="fit the counting quasipolynomial")
-    _add_graph_arg(p)
-    p.add_argument("--polytope", choices=("P", "Q"), default="P")
-    _add_format_arg(p, choices=("human", "json"))
-    _add_budget_arg(p)
-    p.set_defaults(func=_cmd_ehrhart)
+    add(
+        "ehrhart",
+        _cmd_ehrhart,
+        "fit the counting quasipolynomial",
+        report,
+        polytope=True,
+    )
 
-    p = sub.add_parser("vertices", help="enumerate polytope vertices exactly")
-    _add_graph_arg(p)
-    p.add_argument("--polytope", choices=("P", "Q"), default="P")
-    _add_format_arg(p)
-    _add_budget_arg(p)
-    p.set_defaults(func=_cmd_vertices)
+    add("vertices", _cmd_vertices, "enumerate polytope vertices exactly", polytope=True)
 
-    p = sub.add_parser("cf", help="completely fundamental semigroup elements")
-    _add_graph_arg(p)
-    p.add_argument("--polytope", choices=("P", "Q"), default="P")
+    p = add(
+        "cf",
+        _cmd_cf,
+        "completely fundamental semigroup elements",
+        report,
+        polytope=True,
+    )
     p.add_argument("--verify", action="store_true", help="run the brute-force oracle")
     p.add_argument("--m-max", type=int, default=3)
-    _add_format_arg(p, choices=("human", "json"))
-    _add_budget_arg(p)
-    p.set_defaults(func=_cmd_cf)
 
-    p = sub.add_parser("decompose", help="split a magic labeling into small pieces")
-    _add_graph_arg(p)
+    p = add(
+        "decompose",
+        _cmd_decompose,
+        "split a magic labeling into small pieces",
+        report,
+    )
     p.add_argument("--labeling", required=True, help="path to a labeling JSON file")
-    _add_format_arg(p, choices=("human", "json"))
-    _add_budget_arg(p)
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("check", help="structural report for a graph")
-    _add_graph_arg(p)
-    _add_format_arg(p, choices=("human", "json"))
-    _add_budget_arg(p)
-    p.set_defaults(func=_cmd_check)
+    add("check", _cmd_check, "structural report for a graph", report)
 
-    p = sub.add_parser("gen", help="write a built-in family graph as JSON")
+    p = add("gen", _cmd_gen, "write a built-in family graph as JSON", None, graph=False)
     p.add_argument("--family", choices=("gn", "gnp"), required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-p", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("fn", help="evaluate the summatory binomial function")
+    p = add("fn", _cmd_fn, "evaluate the summatory binomial function", graph=False)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
-    _add_format_arg(p)
-    p.set_defaults(func=_cmd_fn)
 
-    p = sub.add_parser("verify-paper", help="run the built-in verification checks")
+    p = add(
+        "verify-paper",
+        _cmd_verify_paper,
+        "run the built-in verification checks",
+        None,
+        graph=False,
+    )
     p.add_argument("--filter", default=None, help="only run checks containing this")
-    _add_budget_arg(p)
-    p.set_defaults(func=_cmd_verify_paper)
 
     return parser
 
@@ -397,7 +350,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -211,20 +211,18 @@ def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
 
 
 def ehrhart_of_polytope(
-    g: Graph,
-    kind: str = "P",
-    *,
-    budget: int | None = None,
-    vertex_budget: int = geometry.DEFAULT_VERTEX_BUDGET,
+    g: Graph, kind: str = "P", *, budget: int | None = None
 ) -> Quasipolynomial:
     """Lattice-point counting quasipolynomial of the magic polytope.
 
     The vertex denominators fix the fitting period and the vertex set's
     affine rank the degree; counts for k = 0 .. period*(degree+2)-1 come
     from exhaustive enumeration, and the validated fit is returned with
-    its period minimized.  ``budget`` caps enumeration nodes and
-    ``vertex_budget`` the vertex-enumeration subsets.
+    its period minimized.  ``budget`` caps both the vertex-enumeration
+    subsets and the nodes of each count; ``None`` means
+    ``geometry.DEFAULT_VERTEX_BUDGET`` subsets and no node cap.
     """
+    vertex_budget = geometry.DEFAULT_VERTEX_BUDGET if budget is None else budget
     den = geometry.polytope_denominator(g, kind, budget=vertex_budget)
     dim = geometry.polytope_dimension(g, kind, budget=vertex_budget)
     count = labelings.count_magic_k if kind == "P" else labelings.count_index_k

@@ -121,23 +121,12 @@ def verify_completely_fundamental(
         for b_lab in enumerate_magic_bounded(g, total, budget=budget):
             c_labels = tuple(t - x for t, x in zip(total, b_lab.labels))
             if kind == "P":
-                lo = max_label(b_lab)
-                hi = total_h - max(c_labels, default=0)
-                for h_b in range(lo, hi + 1):
-                    if not _is_multiple(b_lab.labels, h_b, elem):
-                        return CFVerdict(
-                            refuted=True,
-                            m_max=m_max,
-                            m=m,
-                            b=SemigroupElement(b_lab, h_b),
-                            c=SemigroupElement(
-                                Labeling(g, c_labels), total_h - h_b
-                            ),
-                        )
+                lo, hi = max_label(b_lab), total_h - max(c_labels, default=0)
+                heights = range(lo, hi + 1)
             else:
-                h_b = is_magic(b_lab)
-                if h_b > total_h:
-                    continue
+                idx = is_magic(b_lab)
+                heights = [idx] if idx <= total_h else []
+            for h_b in heights:
                 if not _is_multiple(b_lab.labels, h_b, elem):
                     return CFVerdict(
                         refuted=True,

@@ -1,11 +1,21 @@
 """Command line interface behavior and exit codes."""
 
+import argparse
 import json
 
 import pytest
 
-from magiclab import graph_from_json, graph_to_json, labeling_to_json, lstar, make_gn
-from magiclab.cli import main
+from magiclab import (
+    Quasipolynomial,
+    bouquet,
+    ehrhart_of_polytope,
+    graph_from_json,
+    graph_to_json,
+    labeling_to_json,
+    lstar,
+    make_gn,
+)
+from magiclab.cli import build_parser, main
 
 
 @pytest.fixture
@@ -155,6 +165,20 @@ class TestEhrhart:
         assert main(["ehrhart", "--graph", g4_path]) == 0
         assert len(calls) == 1820 + 3
 
+    @pytest.mark.parametrize(
+        "name, g, kind", [("g4", make_gn(4), "P"), ("two_loops", bouquet(2), "Q")]
+    )
+    def test_json_round_trips_through_from_json(
+        self, name, g, kind, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("MAGIC_BUDGET", raising=False)
+        path = tmp_path / f"{name}.json"
+        path.write_text(graph_to_json(g))
+        argv = ["ehrhart", "--graph", str(path), "--polytope", kind, "--format", "json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert Quasipolynomial.from_json(out) == ehrhart_of_polytope(g, kind)
+
     def test_csv_not_offered(self, g2_path):
         with pytest.raises(SystemExit) as err:
             main(["ehrhart", "--graph", g2_path, "--format", "csv"])
@@ -286,6 +310,67 @@ class TestBudgets:
         monkeypatch.setenv("MAGIC_BUDGET", "lots")
         assert main(["count", "--graph", g4_path, "-k", "1"]) == 2
 
+    def test_negative_flag_is_usage_error(self, g4_path, capsys, monkeypatch):
+        monkeypatch.delenv("MAGIC_BUDGET", raising=False)
+        assert main(["count", "--graph", g4_path, "-k", "1", "--budget", "-1"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+    def test_negative_env_value_is_usage_error(self, g4_path, capsys, monkeypatch):
+        monkeypatch.setenv("MAGIC_BUDGET", "-1")
+        assert main(["count", "--graph", g4_path, "-k", "1"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+    def test_zero_budget_is_exceeded(self, g4_path, capsys, monkeypatch):
+        monkeypatch.setenv("MAGIC_BUDGET", "0")
+        assert main(["count", "--graph", g4_path, "-k", "1"]) == 3
+        monkeypatch.delenv("MAGIC_BUDGET")
+        assert main(["count", "--graph", g4_path, "-k", "1", "--budget", "0"]) == 3
+
+
+def _subcommands():
+    parser = build_parser()
+    action = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+BUDGETED = [
+    name
+    for name, p in _subcommands().items()
+    if any("--budget" in a.option_strings for a in p._actions)
+]
+
+
+def test_every_searching_subcommand_offers_a_budget():
+    assert set(BUDGETED) == {
+        "count",
+        "series",
+        "ehrhart",
+        "vertices",
+        "cf",
+        "decompose",
+        "check",
+    }
+
+
+@pytest.mark.parametrize("name", BUDGETED)
+def test_zero_budget_exits_3_on_every_budgeted_subcommand(
+    name, g4_path, tmp_path, capsys, monkeypatch
+):
+    # Required options are filled from the parser, so a new subcommand
+    # with --budget is checked as soon as it is registered.
+    monkeypatch.delenv("MAGIC_BUDGET", raising=False)
+    lab_path = tmp_path / "lab.json"
+    lab_path.write_text(labeling_to_json(lstar(4)))
+    values = {"graph": g4_path, "labeling": str(lab_path), "k": "6", "kmax": "6"}
+    argv = [name]
+    for action in _subcommands()[name]._actions:
+        if action.required:
+            argv += [action.option_strings[-1], values[action.dest]]
+    assert main(argv + ["--budget", "0"]) == 3
+    assert capsys.readouterr().out == ""
+
 
 class TestVerifyPaper:
     def test_filtered_run_passes(self, capsys):
@@ -296,6 +381,12 @@ class TestVerifyPaper:
 
     def test_unknown_filter_is_usage_error(self, capsys):
         assert main(["verify-paper", "--filter", "zzz"]) == 2
+
+    def test_budget_is_not_an_option(self, capsys):
+        # The checks run fixed inputs; a budget could only fail them.
+        with pytest.raises(SystemExit) as err:
+            main(["verify-paper", "--filter", "two-loop", "--budget", "0"])
+        assert err.value.code == 2
 
     def test_quasiperiod_filter_selects_mqp_checks(self, capsys):
         from magiclab import verification
@@ -337,3 +428,8 @@ class TestUsageErrors:
 
     def test_negative_k_is_usage_error(self, g2_path):
         assert main(["count", "--graph", g2_path, "-k", "-1"]) == 2
+
+    def test_negative_kmax_is_usage_error(self, g2_path, capsys):
+        assert main(["series", "--graph", g2_path, "--kmax", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "kmax" in captured.err

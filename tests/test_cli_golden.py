@@ -2,6 +2,9 @@
 
 Every subcommand that reads a graph is run on g2, g3, g4, the two-loop
 bouquet and the bridged-blocks graph, in every ``--format`` it offers.
+Two graphs pin the empty shapes: the 3-vertex path (odd, so its Q
+polytope has no points) and the one-vertex edgeless graph (one vertex
+with zero coordinates, so rows and headers with no cells).
 The table was recorded from the implementation that predates the shared
 labeling-search core, the shared row reduction and the polytope-facts
 cache; those refactors must leave every entry unchanged.  A key reads
@@ -11,7 +14,16 @@ for a fixed magic labeling of that graph (``-`` means no graph).
 
 import pytest
 
-from magiclab import Labeling, bouquet, graph_to_json, labeling_to_json, lstar, make_gn
+from magiclab import (
+    Graph,
+    Labeling,
+    bouquet,
+    graph_to_json,
+    labeling_to_json,
+    lstar,
+    make_gn,
+    path_graph,
+)
 from magiclab.cli import main
 from magiclab.verification import bridged_blocks
 
@@ -21,6 +33,8 @@ GRAPHS = {
     "g4": make_gn(4),
     "two_loops": bouquet(2),
     "bridged_blocks": bridged_blocks(),
+    "path3": path_graph(3),
+    "point": Graph(("a",), ()),
 }
 
 LABELS = {
@@ -29,6 +43,8 @@ LABELS = {
     "g4": lstar(4).labels,
     "two_loops": (2, 1),
     "bridged_blocks": (0, 2, 0, 2, 2),
+    "path3": (0, 0),
+    "point": (),
 }
 
 
@@ -678,6 +694,35 @@ GOLDEN = {
         '3,7,39\n',
     ),
     'g4: vertices --graph @ --budget 5': (3, ''),
+    'path3: vertices --graph @ --polytope Q --format human': (0, ''),
+    'path3: vertices --graph @ --polytope Q --format json': (0, '[]\n'),
+    'path3: vertices --graph @ --polytope Q --format csv': (0, 'e0,e1\n'),
+    'path3: cf --graph @ --polytope Q --format human': (0, ''),
+    'path3: cf --graph @ --polytope Q --format json': (0, '[]\n'),
+    'path3: ehrhart --graph @ --polytope Q': (2, ''),
+    'point: vertices --graph @ --format human': (0, '()\n'),
+    'point: vertices --graph @ --format json': (0, '[[]]\n'),
+    'point: vertices --graph @ --format csv': (0, '\n\n'),
+    'point: series --graph @ --kmax 2 --format human': (
+        0,
+        '0\t1\n'
+        '1\t1\n'
+        '2\t1\n',
+    ),
+    'point: series --graph @ --kmax 2 --format json': (
+        0,
+        '{"k":0,"magic_count":"1"}\n'
+        '{"k":1,"magic_count":"1"}\n'
+        '{"k":2,"magic_count":"1"}\n',
+    ),
+    'point: series --graph @ --kmax 2 --format csv': (
+        0,
+        'k,magic_count\n'
+        '0,1\n'
+        '1,1\n'
+        '2,1\n',
+    ),
+    'point: count --graph @ -k 0': (0, '1\n'),
 }
 
 

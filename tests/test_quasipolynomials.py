@@ -6,6 +6,7 @@ from math import comb, lcm
 import pytest
 
 from magiclab import (
+    BudgetExceededError,
     Quasipolynomial,
     binomial,
     bouquet,
@@ -261,6 +262,11 @@ class TestEhrhart:
     def test_empty_polytope_raises(self):
         with pytest.raises(ValueError):
             ehrhart_of_polytope(path_graph(3), "Q")
+
+    def test_one_budget_caps_the_vertex_scan(self):
+        with pytest.raises(BudgetExceededError) as err:
+            ehrhart_of_polytope(make_gn(4), budget=100)
+        assert err.value.required == 1820
 
 
 class TestCoefficientStructure:

@@ -183,27 +183,19 @@ def leaves(g: Graph) -> list[tuple[str, Edge]]:
     return out
 
 
-def _matchings(g: Graph, loops_cover: bool, first: bool) -> list[tuple[int, ...]]:
+def _matchings(g: Graph, loops_cover: bool):
     # Perfect matchings are the 0/1 magic labelings of index 1; under
-    # loops_cover=False every loop is capped at 0.  The index search emits
-    # nothing on a graph without edges, so the empty matching of the graph
-    # without vertices is returned here.
-    from . import labelings as _labelings
+    # loops_cover=False every loop is capped at 0.  The index search finds
+    # nothing on a graph without vertices, whose one perfect matching is
+    # the empty one.
+    from .labelings import _labelings
 
     if not g.vertices:
-        return [()]
-    found: list[tuple[int, ...]] = []
-
-    def keep(buf):
-        found.append(tuple(i for i, x in enumerate(buf) if x))
-
-    def keep_first(buf):
-        keep(buf)
-        raise _labelings._Stop
-
+        yield ()
+        return
     caps = [1 if u != w or loops_cover else 0 for u, w in g.edges]
-    _labelings._search(g, caps, (1,), keep_first if first else keep, None)
-    return found
+    for buf in _labelings(g, caps, (1,), None):
+        yield tuple(i for i, x in enumerate(buf) if x)
 
 
 def perfect_matchings(g: Graph, *, loops_cover: bool = True) -> list[tuple[int, ...]]:
@@ -215,11 +207,11 @@ def perfect_matchings(g: Graph, *, loops_cover: bool = True) -> list[tuple[int, 
     in bijection on loop graphs.  Pass ``loops_cover=False`` for the
     stricter reading under which loops never belong to a matching.
     """
-    return sorted(_matchings(g, loops_cover, first=False))
+    return sorted(_matchings(g, loops_cover))
 
 
 def has_perfect_matching(g: Graph, *, loops_cover: bool = True) -> bool:
-    return bool(_matchings(g, loops_cover, first=True))
+    return next(_matchings(g, loops_cover), None) is not None
 
 
 def matching_preclusion_class(g: Graph) -> str:

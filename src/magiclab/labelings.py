@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -17,11 +18,20 @@ class Labeling:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(x) for x in self.labels))
+        object.__setattr__(self, "labels", _as_ints(self.labels, "labels"))
         if len(self.labels) != len(self.graph.edges):
             raise ValueError("label vector length must equal the edge count")
         if any(x < 0 for x in self.labels):
             raise ValueError("labels must be nonnegative")
+
+
+def _as_ints(values, what: str) -> tuple[int, ...]:
+    # operator.index accepts ints (and int-like types) only, so a float
+    # label or cap is an error instead of being truncated by int().
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
 
 
 def vertex_sum(lab: Labeling, v: str) -> int:
@@ -111,118 +121,94 @@ def _assignment_order(g: Graph) -> list[int]:
     return order
 
 
-def _run_index_dfs(g: Graph, target: int, caps, sink, budget, nodes) -> None:
-    """Exact DFS over labelings with every vertex sum equal to ``target``.
+def _labelings(g: Graph, caps, indices, budget):
+    """Exact search over labelings whose vertex sums all equal one target.
 
-    ``caps`` bounds each edge label.  ``sink`` receives the internal label
-    buffer (in coordinate order) once per solution; callers must copy it.
-    ``nodes`` is a single-element list holding the running node count.
+    Targets are taken in turn from ``indices``, or are every index the
+    caps allow when it is None.  ``caps`` bounds each edge label.  Each
+    solution yields the internal label buffer (in coordinate order), so
+    callers must copy it.  ``budget`` caps the label values offered over
+    the whole search, counted per position before any value is tried.
+
+    The edges are assigned in ``_assignment_order`` with an explicit stack:
+    ``top[t]`` is the largest value position t may take, and the current
+    value lives in the buffer itself.
     """
-    if target < 0:
-        return
     vidx = {v: i for i, v in enumerate(g.vertices)}
     capacity = [sum(caps[ei] for ei in g.incidence[v]) for v in g.vertices]
-    if any(c < target for c in capacity):
-        return
-    m = len(g.edges)
-    if m == 0:
-        if target == 0:
-            sink([])
-        return
-
-    order = _assignment_order(g)
+    # No vertex sum can exceed the total cap of its incident edges, so the
+    # smallest vertex capacity bounds every feasible index.
+    least = min(capacity, default=0)
     endpoints = []
-    for ei in order:
+    for ei in _assignment_order(g):
         u, w = g.edges[ei]
         ui, wi = vidx[u], vidx[w]
-        endpoints.append((ei, (ui,) if ui == wi else (ui, wi)))
-
+        endpoints.append((ei, caps[ei], (ui,) if ui == wi else (ui, wi)))
+    m = len(endpoints)
     labels = [0] * m
-    sums = [0] * len(g.vertices)
-    caprem = capacity[:]
-
-    def step(t: int):
-        if t == m:
-            sink(labels)
-            return
-        ei, ends = endpoints[t]
-        cap_e = caps[ei]
-        lo, hi = 0, cap_e
-        for vi in ends:
-            after = caprem[vi] - cap_e
-            need = target - sums[vi]
-            if need - after > lo:
-                lo = need - after
-            if need < hi:
-                hi = need
-        if lo > hi:
-            return
-        if budget is not None:
-            nodes[0] += hi - lo + 1
-            if nodes[0] > budget:
-                raise BudgetExceededError(
-                    f"enumeration exceeded the node budget of {budget}"
-                )
-        for vi in ends:
-            caprem[vi] -= cap_e
-        for val in range(lo, hi + 1):
-            labels[ei] = val
-            for vi in ends:
-                sums[vi] += val
-            step(t + 1)
-            for vi in ends:
-                sums[vi] -= val
-        labels[ei] = 0
-        for vi in ends:
-            caprem[vi] += cap_e
-
-    step(0)
-
-
-class _Stop(Exception):
-    """Raised by a sink to end a search early."""
-
-
-def _search(g: Graph, caps, indices, sink, budget) -> None:
-    """Run the index DFS for each target in ``indices`` under one node count.
-
-    A sink may raise ``_Stop`` to end the whole search after a solution.
-    """
-    nodes = [0]
-    try:
-        for r in indices:
-            _run_index_dfs(g, r, caps, sink, budget, nodes)
-    except _Stop:
-        pass
-
-
-def _all_indices(g: Graph, caps) -> range:
-    # No vertex sum can exceed the total cap of its incident edges, so the
-    # smallest vertex capacity bounds the index of any feasible labeling.
-    return range(
-        min((sum(caps[ei] for ei in g.incidence[v]) for v in g.vertices), default=0)
-        + 1
-    )
+    top = [0] * m
+    nodes = 0
+    for target in range(least + 1) if indices is None else indices:
+        if not 0 <= target <= least:
+            continue
+        sums = [0] * len(g.vertices)
+        caprem = capacity[:]
+        t = 0
+        while t >= 0:
+            while t < m:
+                ei, cap_e, ends = endpoints[t]
+                lo, hi = 0, cap_e
+                for vi in ends:
+                    after = caprem[vi] - cap_e
+                    need = target - sums[vi]
+                    if need - after > lo:
+                        lo = need - after
+                    if need < hi:
+                        hi = need
+                if lo > hi:
+                    break
+                if budget is not None:
+                    nodes += hi - lo + 1
+                    if nodes > budget:
+                        raise BudgetExceededError(
+                            f"enumeration exceeded the node budget of {budget}"
+                        )
+                labels[ei] = lo
+                top[t] = hi
+                for vi in ends:
+                    caprem[vi] -= cap_e
+                    sums[vi] += lo
+                t += 1
+            else:
+                yield labels
+            # Back up to the deepest position with a value left to try.
+            t -= 1
+            while t >= 0:
+                ei, cap_e, ends = endpoints[t]
+                val = labels[ei]
+                if val < top[t]:
+                    labels[ei] = val + 1
+                    for vi in ends:
+                        sums[vi] += 1
+                    t += 1
+                    break
+                labels[ei] = 0
+                for vi in ends:
+                    caprem[vi] += cap_e
+                    sums[vi] -= val
+                t -= 1
 
 
 def _collect(g: Graph, caps, indices, budget) -> list[Labeling]:
-    out: list[Labeling] = []
-    _search(g, caps, indices, lambda buf: out.append(Labeling(g, tuple(buf))), budget)
-    return out
+    return [Labeling(g, tuple(buf)) for buf in _labelings(g, caps, indices, budget)]
 
 
 def _count(g: Graph, caps, indices, budget) -> int:
-    total = 0
-
-    def bump(_buf):
-        nonlocal total
-        total += 1
-
-    _search(g, caps, indices, bump, budget)
-    return total
+    return sum(1 for _ in _labelings(g, caps, indices, budget))
 
 
 def _uniform_caps(g: Graph, k: int) -> list[int]:
+    (k,) = _as_ints((k,), "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     return [k] * len(g.edges)
@@ -233,16 +219,16 @@ def enumerate_magic_k(g: Graph, k: int, *, budget: int | None = None) -> list[La
 
     Enumeration runs one exact depth-first search per candidate index,
     so the results are unique by construction.  ``budget`` caps the
-    total number of DFS label assignments.
+    total number of label values the search offers.
     """
     caps = _uniform_caps(g, k)
-    return _collect(g, caps, _all_indices(g, caps), budget)
+    return _collect(g, caps, None, budget)
 
 
 def count_magic_k(g: Graph, k: int, *, budget: int | None = None) -> int:
     """Number of magic labelings with every label at most k (streamed)."""
     caps = _uniform_caps(g, k)
-    return _count(g, caps, _all_indices(g, caps), budget)
+    return _count(g, caps, None, budget)
 
 
 def enumerate_index_k(g: Graph, k: int, *, budget: int | None = None) -> list[Labeling]:
@@ -261,12 +247,12 @@ def count_index_k(g: Graph, k: int, *, budget: int | None = None) -> int:
 
 def enumerate_magic_bounded(g: Graph, caps, *, budget: int | None = None) -> list[Labeling]:
     """All magic labelings with per-edge label bounds ``caps``."""
-    caps = [int(c) for c in caps]
+    caps = _as_ints(caps, "caps")
     if len(caps) != len(g.edges):
         raise ValueError("caps length must equal the edge count")
     if any(c < 0 for c in caps):
         raise ValueError("caps must be nonnegative")
-    return _collect(g, caps, _all_indices(g, caps), budget)
+    return _collect(g, caps, None, budget)
 
 
 def labeling_to_json(lab: Labeling) -> str:
@@ -282,6 +268,8 @@ def labeling_from_json(g: Graph, text: str) -> Labeling:
     if data["graph_hash"] != graph_hash(g):
         raise ValueError("labeling was produced for a different graph")
     labels = data["labels"]
-    if not isinstance(labels, list) or not all(isinstance(x, int) for x in labels):
+    if not isinstance(labels, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in labels
+    ):
         raise ValueError("labeling JSON labels must be a list of integers")
     return Labeling(g, tuple(labels))

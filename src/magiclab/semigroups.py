@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import geometry
-from .errors import ConsistencyError
+from .errors import BudgetExceededError, ConsistencyError
 from .graphs import Edge, Graph, forced_max_edge, is_bipartite
 from .labelings import (
     Labeling,
@@ -187,7 +187,8 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     backtracking extraction, so a greedy dead end cannot cause a bogus
     failure; an actual failure is a ConsistencyError because such a
     decomposition always exists.  ``budget`` caps the search nodes of
-    the enumeration of candidate pieces.
+    the enumeration of candidate pieces and, separately, the number of
+    candidate pieces the extraction tries.
     """
     idx = is_magic(lab)
     if idx is None:
@@ -195,43 +196,57 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     if idx == 0:
         return []
     g = lab.graph
-    bipartite = is_bipartite(g) is not None
-    allowed = (1,) if bipartite else (1, 2)
+    allowed = (1,) if is_bipartite(g) is not None else (1, 2)
     caps = [min(x, 2) for x in lab.labels]
     pool = [
-        p
+        (p_idx, p)
         for p in enumerate_magic_bounded(g, caps, budget=budget)
-        if is_magic(p) in allowed
+        if (p_idx := is_magic(p)) in allowed
     ]
-    pool.sort(key=lambda p: (is_magic(p), p.labels))
-    dead: set[tuple[int, ...]] = set()
-
-    def extract(rem: tuple[int, ...], rem_idx: int) -> list[Labeling] | None:
-        if rem_idx == 0:
-            return []
-        if rem in dead:
-            return None
-        for piece in pool:
-            pidx = is_magic(piece)
-            if pidx > rem_idx:
-                continue
-            if any(p > r for p, r in zip(piece.labels, rem)):
-                continue
-            rest = extract(
-                tuple(r - p for r, p in zip(rem, piece.labels)), rem_idx - pidx
-            )
-            if rest is not None:
-                return [piece] + rest
-        dead.add(rem)
-        return None
-
-    pieces = extract(lab.labels, idx)
+    pool.sort(key=lambda entry: (entry[0], entry[1].labels))
+    pieces = _extract(pool, lab.labels, idx, budget)
     if pieces is None:
         raise ConsistencyError(
             "no decomposition into index-1 and index-2 magic labelings exists; "
             "this contradicts a guaranteed invariant"
         )
     return sorted(pieces, key=lambda p: p.labels)
+
+
+def _extract(pool, labels, idx, budget) -> list[Labeling] | None:
+    # Depth first: at each remainder take the first (index, piece) of the
+    # pool that fits and whose remainder is not known to be dead.  The
+    # stack holds (remainder, its index, next pool position) for every
+    # remainder on the path, and ``taken`` the pieces used so far.
+    dead: set[tuple[int, ...]] = set()
+    stack = [(labels, idx, 0)]
+    taken: list[Labeling] = []
+    tried = 0
+    while stack:
+        rem, rem_idx, start = stack.pop()
+        for i in range(start, len(pool)):
+            tried += 1
+            if budget is not None and tried > budget:
+                raise BudgetExceededError(
+                    f"decomposition exceeded the budget of {budget} pieces tried"
+                )
+            p_idx, piece = pool[i]
+            if p_idx > rem_idx or any(p > r for p, r in zip(piece.labels, rem)):
+                continue
+            if p_idx == rem_idx:
+                return taken + [piece]
+            nxt = tuple(r - p for r, p in zip(rem, piece.labels))
+            if nxt in dead:
+                continue
+            stack.append((rem, rem_idx, i + 1))
+            stack.append((nxt, rem_idx - p_idx, 0))
+            taken.append(piece)
+            break
+        else:
+            dead.add(rem)
+            if taken:
+                taken.pop()
+    return None
 
 
 @dataclass(frozen=True)

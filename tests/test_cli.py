@@ -6,8 +6,10 @@ import json
 import pytest
 
 from magiclab import (
+    Labeling,
     Quasipolynomial,
     bouquet,
+    cycle_graph,
     ehrhart_of_polytope,
     graph_from_json,
     graph_to_json,
@@ -59,6 +61,12 @@ class TestCount:
     def test_k0(self, g2_path, capsys):
         assert main(["count", "--graph", g2_path, "-k", "0"]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    def test_long_cycle(self, tmp_path, capsys):
+        path = tmp_path / "c1200.json"
+        path.write_text(graph_to_json(cycle_graph(1200)))
+        assert main(["count", "--graph", str(path), "-k", "1"]) == 0
+        assert capsys.readouterr().out == "4\n"
 
     def test_k5_square(self, g2_path, capsys):
         assert main(["count", "--graph", g2_path, "-k", "5"]) == 0
@@ -246,6 +254,31 @@ class TestDecompose:
         assert main(argv + ["--budget", "5"]) == 3
         assert "budget" in capsys.readouterr().err
         assert main(argv) == 0
+
+    def test_budget_caps_the_extraction(self, tmp_path, capsys):
+        # lstar(3) scaled to index 2,100: the candidate pool fits in a
+        # budget of 1,000, the 2,100 extraction steps do not.
+        lab = lstar(3)
+        gpath = tmp_path / "g3.json"
+        gpath.write_text(graph_to_json(lab.graph))
+        lpath = tmp_path / "lab.json"
+        big = Labeling(lab.graph, tuple(700 * x for x in lab.labels))
+        lpath.write_text(labeling_to_json(big))
+        argv = ["decompose", "--graph", str(gpath), "--labeling", str(lpath)]
+        assert main(argv + ["--budget", "1000", "--format", "json"]) == 3
+        assert "budget" in capsys.readouterr().err
+        assert main(argv + ["--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 2100
+
+    def test_boolean_label_is_a_usage_error(self, tmp_path, capsys):
+        gpath = tmp_path / "g3.json"
+        gpath.write_text(graph_to_json(make_gn(3)))
+        lpath = tmp_path / "lab.json"
+        text = labeling_to_json(lstar(3)).replace(",1,", ",true,", 1)
+        assert "true" in text
+        lpath.write_text(text)
+        argv = ["decompose", "--graph", str(gpath), "--labeling", str(lpath)]
+        assert main(argv) == 2
 
     def test_hash_mismatch(self, tmp_path, capsys):
         gpath = tmp_path / "g4.json"

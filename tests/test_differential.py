@@ -1,0 +1,82 @@
+"""Randomised differential tests of the labeling search against brute force.
+
+Graphs are small (at most 5 vertices and 7 edges) with loops, parallel
+loops and isolated vertices, so every label cube can be filtered in full.
+Examples are derandomised, so each run tries the same graphs.
+"""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from magiclab import (
+    Graph,
+    Labeling,
+    count_index_k,
+    count_magic_k,
+    enumerate_magic_bounded,
+    is_magic,
+    perfect_matchings,
+)
+from test_graphs import brute_perfect_matchings
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150, database=None)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 5))
+    vs = tuple(f"v{i}" for i in range(n))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=7)) if n else []
+    edges, seen = [], set()
+    for a, b in pairs:
+        key = frozenset((a, b))
+        if a != b and key in seen:
+            continue  # Graph allows parallel loops but not parallel edges
+        seen.add(key)
+        edges.append((vs[a], vs[b]))
+    return Graph(vs, tuple(edges))
+
+
+@st.composite
+def graphs_with_caps(draw):
+    g = draw(small_graphs())
+    m = len(g.edges)
+    return g, draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+
+
+def brute_indices(g, caps):
+    """The index of every magic labeling in the cube, keyed by labels."""
+    out = {}
+    for combo in itertools.product(*(range(c + 1) for c in caps)):
+        idx = is_magic(Labeling(g, combo))
+        if idx is not None:
+            out[combo] = idx
+    return out
+
+
+@SETTINGS
+@given(graphs_with_caps())
+def test_bounded_enumeration_matches_brute_force(gc):
+    g, caps = gc
+    found = [lab.labels for lab in enumerate_magic_bounded(g, caps)]
+    assert len(found) == len(set(found))
+    assert set(found) == set(brute_indices(g, caps))
+
+
+@SETTINGS
+@given(small_graphs(), st.integers(0, 2))
+def test_counts_match_brute_force(g, k):
+    indices = brute_indices(g, [k] * len(g.edges))
+    assert count_magic_k(g, k) == len(indices)
+    assert count_index_k(g, k) == sum(1 for idx in indices.values() if idx == k)
+
+
+@SETTINGS
+@given(small_graphs())
+def test_perfect_matchings_match_brute_force(g):
+    for loops_cover in (True, False):
+        assert perfect_matchings(g, loops_cover=loops_cover) == (
+            brute_perfect_matchings(g, loops_cover=loops_cover)
+        )

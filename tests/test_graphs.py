@@ -291,6 +291,11 @@ class TestPerfectMatchings:
             assert perfect_matchings(g) == []
             assert not has_perfect_matching(g)
 
+    def test_long_path_does_not_hit_the_recursion_limit(self):
+        g = path_graph(2000)
+        assert perfect_matchings(g) == [tuple(range(0, 1999, 2))]
+        assert has_perfect_matching(g)
+
     def test_output_is_sorted(self):
         rng = random.Random(11)
         for _ in range(30):

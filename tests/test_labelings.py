@@ -11,6 +11,7 @@ from magiclab import (
     bouquet,
     build_graph,
     closed_form_mn,
+    cycle_graph,
     count_index_k,
     count_magic_k,
     enumerate_index_k,
@@ -54,6 +55,11 @@ class TestLabelingType:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Labeling(path_graph(2), (-1,))
+
+    def test_float_labels_rejected(self):
+        # int() would truncate these to (1, 0, 0, 0, 0, 0)
+        with pytest.raises(ValueError):
+            Labeling(make_gn(2), (1.7, 0, 0, 0, 0, 0.2))
 
 
 class TestVertexSum:
@@ -302,6 +308,15 @@ class TestBoundedEnumeration:
         with pytest.raises(ValueError):
             enumerate_magic_bounded(make_gn(2), [1, 1])
 
+    def test_float_caps_rejected(self):
+        # int() would search with caps of 1
+        with pytest.raises(ValueError):
+            enumerate_magic_bounded(make_gn(2), [1.9] * 6)
+
+    def test_float_k_rejected(self):
+        with pytest.raises(ValueError):
+            count_magic_k(make_gn(2), 1.5)
+
 
 class TestBudget:
     def test_enumeration_budget(self):
@@ -310,6 +325,30 @@ class TestBudget:
 
     def test_budget_large_enough_passes(self):
         assert count_magic_k(make_gn(2), 1, budget=10**6) == 4
+
+    # The smallest budgets that succeed; each counts hi - lo + 1 label
+    # values per search position before the values are tried.
+    def test_exact_budget_count_magic_k(self):
+        assert count_magic_k(make_gn(4), 3, budget=428) == 36
+        with pytest.raises(BudgetExceededError):
+            count_magic_k(make_gn(4), 3, budget=427)
+
+    def test_exact_budget_count_index_k(self):
+        assert count_index_k(make_gn(4), 3, budget=188) == 20
+        with pytest.raises(BudgetExceededError):
+            count_index_k(make_gn(4), 3, budget=187)
+
+    def test_exact_budget_bounded(self):
+        assert len(enumerate_magic_bounded(bouquet(2), [2, 3], budget=24)) == 12
+        with pytest.raises(BudgetExceededError):
+            enumerate_magic_bounded(bouquet(2), [2, 3], budget=23)
+
+
+class TestDeepGraphs:
+    def test_long_cycle_does_not_hit_the_recursion_limit(self):
+        # 1200 edges, one search position each: the zero labeling, the
+        # all-ones labeling and the two alternating ones.
+        assert count_magic_k(cycle_graph(1200), 1) == 4
 
 
 class TestLabelingJson:
@@ -322,3 +361,10 @@ class TestLabelingJson:
         text = labeling_to_json(lstar(3))
         with pytest.raises(ValueError):
             labeling_from_json(make_gn(4), text)
+
+    def test_boolean_label_rejected(self):
+        lab = Labeling(make_gn(2), (1, 0, 0, 0, 0, 0))
+        text = labeling_to_json(lab).replace("[1,", "[true,")
+        assert "true" in text
+        with pytest.raises(ValueError):
+            labeling_from_json(make_gn(2), text)

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from magiclab import (
+    BudgetExceededError,
     ConsistencyError,
     Labeling,
     SemigroupElement,
@@ -15,6 +16,7 @@ from magiclab import (
     cycle_graph,
     decompose_over_generators,
     enumerate_index_k,
+    enumerate_magic_bounded,
     enumerate_magic_k,
     is_bipartite,
     is_magic,
@@ -35,6 +37,10 @@ from magiclab.verification import bridged_blocks
 
 def zero_element(g, height=1):
     return SemigroupElement(Labeling(g, (0,) * len(g.edges)), height)
+
+
+def scaled(lab, factor):
+    return Labeling(lab.graph, tuple(factor * x for x in lab.labels))
 
 
 class TestValidation:
@@ -253,6 +259,29 @@ class TestStanleyDecompose:
             for p in stanley_decompose(lab):
                 support = tuple(sorted(i for i, x in enumerate(p.labels) if x))
                 assert support in matchings
+
+
+    def test_large_index_does_not_hit_the_recursion_limit(self):
+        # lstar(3) scaled to index 2,100: one extraction step per piece
+        lab = scaled(lstar(3), 700)
+        pieces = stanley_decompose(lab)
+        assert len(pieces) == 2100
+        total = [sum(col) for col in zip(*(p.labels for p in pieces))]
+        assert tuple(total) == lab.labels
+        matchings = set(perfect_matchings(lab.graph))
+        for p in pieces:
+            assert is_magic(p) == 1 and set(p.labels) <= {0, 1}
+            assert tuple(i for i, x in enumerate(p.labels) if x) in matchings
+
+    def test_budget_caps_the_extraction(self):
+        # 1,000 is enough for the candidate pool of this labeling (its
+        # enumeration alone passes) but not for the 2,100 extraction steps.
+        lab = scaled(lstar(3), 700)
+        caps = [min(x, 2) for x in lab.labels]
+        assert enumerate_magic_bounded(lab.graph, caps, budget=1000)
+        with pytest.raises(BudgetExceededError):
+            stanley_decompose(lab, budget=1000)
+        assert len(stanley_decompose(lab, budget=10**4)) == 2100
 
 
 class TestCertify:

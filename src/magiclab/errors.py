@@ -2,10 +2,13 @@
 
 
 class BudgetExceededError(RuntimeError):
-    """A search would exceed its configured node or subset budget.
+    """A search exceeded its configured budget.
 
-    ``required`` carries the budget that would have sufficed when it can
-    be computed up front (vertex enumeration); otherwise it is None.
+    The labeling searches count search nodes and the vertex enumeration
+    counts pair tests, each as the work is done, and raise at the first
+    unit over the budget.  ``required`` carries the budget that would
+    have sufficed when the raising phase knows it; neither of these
+    phases does, so for them it is None.
     """
 
     def __init__(self, message: str, required: int | None = None):

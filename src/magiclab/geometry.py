@@ -1,6 +1,7 @@
 """Exact rational linear algebra and polytope vertex enumeration.
 
-Everything here is over ``fractions.Fraction``; no floating point is
+Everything here is exact: rows are reduced over ``fractions.Fraction``
+and the vertex enumeration runs on Python ints; no floating point is
 used anywhere.  Points are plain tuples of fractions in the graph's
 edge coordinate order.
 """
@@ -10,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb, gcd, lcm
+from math import gcd, lcm
+from operator import mul
 
 from .errors import BudgetExceededError
 from .graphs import Graph
@@ -78,26 +79,13 @@ def magic_constraints(g: Graph, kind: str) -> PolytopeDescription:
 
 def solve_rational(matrix, rhs) -> Point | None:
     """Unique solution of a square exact linear system, or None if singular."""
-    # Not built on _rref: stopping at the first column without a pivot is
-    # what keeps the many singular subsets of the vertex scan cheap.
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("system must be square with a matching right-hand side")
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(row[-1] for row in aug)
+    aug, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(row[n] for row in aug)
 
 
 def _rref(rows, ncols: int):
@@ -161,20 +149,84 @@ def _affine_solution_space(desc: PolytopeDescription):
     return tuple(x0), basis
 
 
-def _canonical_halfspace(coeffs: tuple[Fraction, ...], bound: Fraction):
-    # Scale (coeffs | bound) by a positive rational so the entries become a
-    # primitive integer vector; identical halfspaces then compare equal.
-    denoms = [c.denominator for c in coeffs] + [bound.denominator]
-    scale = Fraction(lcm(*denoms))
-    ints = [int(c * scale) for c in coeffs] + [int(bound * scale)]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints[:-1]), ints[-1]
+def _primitive(v) -> tuple[int, ...]:
+    # An integer vector divided by the gcd of its entries.
+    g = gcd(*v)
+    return tuple(c // g for c in v) if g > 1 else tuple(v)
 
 
-def _scan_vertices(g: Graph, kind: str, budget: int) -> list[Point]:
-    # The subset scan behind polytope_vertices; see its docstring.
+def _canonical_halfspace(row) -> tuple[int, ...]:
+    # Scale a row by a positive rational so its entries become a primitive
+    # integer vector; rows of the same halfspace then compare equal.
+    scale = lcm(*(c.denominator for c in row))
+    return _primitive([int(c * scale) for c in row])
+
+
+def _combine(a: int, x, b: int, y) -> tuple[int, ...]:
+    return _primitive([a * p + b * q for p, q in zip(x, y)])
+
+
+def _extreme_rays(rows, n: int, budget: int) -> list[tuple[int, ...]]:
+    # Double description of the cone {x in Z^n : row . x >= 0 for every
+    # row}, adding one row at a time.  The cone so far is span(lin) +
+    # cone(rays), the rays being its extreme rays modulo span(lin); each
+    # ray carries the bitmask of the rows added so far that vanish on it.
+    lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays: list[tuple[tuple[int, ...], int]] = []
+    used = 0
+    for i, a in enumerate(rows):
+        bit = 1 << i
+        k = next((k for k, l in enumerate(lin) if sum(map(mul, a, l))), None)
+        if k is not None:
+            # The row cuts the lineality space: one direction in it,
+            # oriented to the row's positive side, becomes a ray, and the
+            # rest of the space and the old rays are projected along it
+            # into the row's hyperplane.
+            cut = lin.pop(k)
+            s = sum(map(mul, a, cut))
+            if s < 0:
+                cut, s = tuple(-c for c in cut), -s
+            lin = [_combine(s, l, -sum(map(mul, a, l)), cut) for l in lin]
+            rays = [
+                (_combine(s, r, -sum(map(mul, a, r)), cut), z | bit) for r, z in rays
+            ]
+            rays.append((cut, bit - 1))
+            continue
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            v = sum(map(mul, a, r))
+            if v > 0:
+                pos.append((r, z, v))
+                kept.append((r, z))
+            elif v < 0:
+                neg.append((r, z, v))
+            else:
+                kept.append((r, z | bit))
+        used += len(pos) * len(neg)
+        if used > budget:
+            raise BudgetExceededError(
+                f"vertex enumeration exceeded the budget of {budget} pair tests"
+                f" (reached {used})"
+            )
+        # A positive and a negative ray are adjacent when no third ray
+        # vanishes on every row that both vanish on; adjacent rays share at
+        # least n - len(lin) - 2 zeros, which rules most pairs out first.
+        need = n - len(lin) - 2
+        zeros = [z for _, z in rays]
+        for p, zp, vp in pos:
+            for q, zq, vq in neg:
+                common = zp & zq
+                if common.bit_count() < need:
+                    continue
+                if sum(1 for z in zeros if common & z == common) > 2:
+                    continue
+                kept.append((_combine(vp, q, -vq, p), common | bit))
+        rays = kept
+    return [r for r, _ in rays]
+
+
+def _enumerate_vertices(g: Graph, kind: str, budget: int) -> list[Point]:
+    # The vertex enumeration behind polytope_vertices; see its docstring.
     desc = magic_constraints(g, kind)
     m = desc.num_coords
     par = _affine_solution_space(desc)
@@ -182,44 +234,24 @@ def _scan_vertices(g: Graph, kind: str, budget: int) -> list[Point]:
         return []
     x0, basis = par
     d = len(basis)
-
-    def to_point(u: Point) -> Point:
-        return tuple(
-            x0[e] + sum(basis[j][e] * u[j] for j in range(d)) for e in range(m)
-        )
-
-    def feasible(pt: Point) -> bool:
-        return all(c >= 0 and (not desc.box or c <= 1) for c in pt)
-
-    if d == 0:
-        pt = tuple(x0)
-        return [pt] if feasible(pt) else []
-
-    halfspaces: dict[tuple, tuple[Point, Fraction]] = {}
+    # In homogeneous coordinates (t, u) the bound x_e >= 0 reads
+    # x0_e t + basis_e . u >= 0 and the bound x_e <= 1 reads
+    # (1 - x0_e) t - basis_e . u >= 0; the polytope is the slice t = 1.
+    rows = {(1,) + (0,) * d: None}
     for e in range(m):
-        row = tuple(basis[j][e] for j in range(d))
-        for coeffs, bound in ((tuple(-c for c in row), x0[e]),) + (
-            ((row, 1 - x0[e]),) if desc.box else ()
-        ):
-            if all(c == 0 for c in coeffs):
-                continue
-            halfspaces[_canonical_halfspace(coeffs, bound)] = (coeffs, bound)
-    rows = list(halfspaces.values())
-
-    required = comb(len(rows), d)
-    if required > budget:
-        raise BudgetExceededError(
-            f"vertex enumeration needs {required} subsets, budget is {budget}",
-            required=required,
-        )
-
-    found: set[Point] = set()
-    for subset in combinations(rows, d):
-        u = solve_rational([list(cs) for cs, _ in subset], [b for _, b in subset])
-        if u is None:
-            continue
-        if all(sum(c * x for c, x in zip(cs, u)) <= b for cs, b in rows):
-            found.add(to_point(u))
+        row = (x0[e],) + tuple(basis[j][e] for j in range(d))
+        rows[_canonical_halfspace(row)] = None
+        if desc.box:
+            rows[_canonical_halfspace([1 - row[0]] + [-c for c in row[1:]])] = None
+    found = []
+    for t, *u in _extreme_rays(list(rows), d + 1, budget):
+        if t > 0:
+            found.append(
+                tuple(
+                    x0[e] + sum(basis[j][e] * Fraction(u[j], t) for j in range(d))
+                    for e in range(m)
+                )
+            )
     return sorted(found)
 
 
@@ -228,9 +260,9 @@ def _polytope_facts(g: Graph, kind: str, budget: int):
     """``(vertices, denominator, dimension)`` of one polytope, memoised.
 
     Always called positionally, so one (graph, kind, budget) is one cache
-    entry.  A budget error raises before the scan and is not cached.
+    entry.  A budget error propagates and is not cached.
     """
-    verts = tuple(_scan_vertices(g, _check_kind(kind), budget))
+    verts = tuple(_enumerate_vertices(g, _check_kind(kind), budget))
     den = lcm(*(point_denominator(v) for v in verts))
     if not verts:
         return verts, den, -1
@@ -244,13 +276,21 @@ def polytope_vertices(
 ) -> list[Point]:
     """All vertices of the magic polytope, exactly, in sorted order.
 
-    The equality system is eliminated first; every bound becomes a
-    halfspace in the residual coordinates and duplicates are merged.
-    Each subset of dimension-many halfspaces is then set active and
-    solved exactly, keeping solutions that satisfy every constraint.
-    Raises BudgetExceededError (reporting the required budget) when the
-    number of subsets exceeds ``budget``; returns [] for an empty
-    polytope.  The result is a fresh list on every call.
+    The equality system is eliminated first, leaving d residual
+    coordinates u.  Every bound becomes a halfspace in u, homogenised to
+    a primitive integer row of a cone in the d + 1 coordinates (t, u);
+    duplicates are merged and the row t >= 0 is added.  A double
+    description (Motzkin et al. 1953; Fukuda and Prodon 1996) then finds
+    the cone's extreme rays on Python ints: rows are added one at a time,
+    each ray on the row's positive side is paired with each ray on its
+    negative side, and an adjacent pair (judged on the rays' zero sets)
+    gives a new ray, combined fraction-free and divided by its gcd.  Each
+    extreme ray with t > 0 is the vertex u / t.
+
+    ``budget`` caps the pair tests, the positive-by-negative ray pairs
+    considered, summed over the rows; BudgetExceededError is raised once
+    they exceed it.  Returns [] for an empty polytope.  The result is a
+    fresh list on every call.
     """
     return list(_polytope_facts(g, kind, budget)[0])
 

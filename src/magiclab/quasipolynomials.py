@@ -219,8 +219,8 @@ def ehrhart_of_polytope(
     affine rank the degree; counts for k = 0 .. period*(degree+2)-1 come
     from exhaustive enumeration, and the validated fit is returned with
     its period minimized.  ``budget`` caps both the vertex-enumeration
-    subsets and the nodes of each count; ``None`` means
-    ``geometry.DEFAULT_VERTEX_BUDGET`` subsets and no node cap.
+    pair tests and the nodes of each count; ``None`` means
+    ``geometry.DEFAULT_VERTEX_BUDGET`` pair tests and no node cap.
     """
     vertex_budget = geometry.DEFAULT_VERTEX_BUDGET if budget is None else budget
     den = geometry.polytope_denominator(g, kind, budget=vertex_budget)

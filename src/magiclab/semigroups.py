@@ -8,6 +8,7 @@ Addition is entrywise on labels and heights.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from math import lcm
@@ -30,6 +31,10 @@ class SemigroupElement:
     height: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "height", operator.index(self.height))
+        except TypeError:
+            raise ValueError("height must be an integer") from None
         if self.height < 0:
             raise ValueError("height must be nonnegative")
 

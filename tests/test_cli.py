@@ -156,22 +156,21 @@ class TestEhrhart:
         data = json.loads(capsys.readouterr().out)
         assert data["constituents"] == [["1", "2", "1"]]
 
-    def test_vertex_scan_runs_once(self, g4_path, capsys, monkeypatch):
-        # 1,820 subsets in one vertex scan plus one solve per fit residue.
+    def test_vertex_enumeration_runs_once(self, g4_path, capsys, monkeypatch):
         from magiclab import geometry
 
         monkeypatch.delenv("MAGIC_BUDGET", raising=False)
         geometry._polytope_facts.cache_clear()
-        real = geometry.solve_rational
+        real = geometry._enumerate_vertices
         calls = []
 
-        def counted(matrix, rhs):
-            calls.append(len(matrix))
-            return real(matrix, rhs)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(geometry, "solve_rational", counted)
+        monkeypatch.setattr(geometry, "_enumerate_vertices", counted)
         assert main(["ehrhart", "--graph", g4_path]) == 0
-        assert len(calls) == 1820 + 3
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "name, g, kind", [("g4", make_gn(4), "P"), ("two_loops", bouquet(2), "Q")]

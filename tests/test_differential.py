@@ -1,8 +1,10 @@
-"""Randomised differential tests of the labeling search against brute force.
+"""Randomised differential tests against brute force.
 
-Graphs are small (at most 5 vertices and 7 edges) with loops, parallel
-loops and isolated vertices, so every label cube can be filtered in full.
-Examples are derandomised, so each run tries the same graphs.
+The labeling search is checked against filtered label cubes and the
+vertex enumeration against the subset scan.  Graphs are small (at most
+5 vertices and 7 edges) with loops, parallel loops and isolated
+vertices, so every label cube can be filtered in full.  Examples are
+derandomised, so each run tries the same graphs.
 """
 
 import itertools
@@ -17,7 +19,9 @@ from magiclab import (
     enumerate_magic_bounded,
     is_magic,
     perfect_matchings,
+    polytope_vertices,
 )
+from test_geometry import brute_vertices
 from test_graphs import brute_perfect_matchings
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -80,3 +84,14 @@ def test_perfect_matchings_match_brute_force(g):
         assert perfect_matchings(g, loops_cover=loops_cover) == (
             brute_perfect_matchings(g, loops_cover=loops_cover)
         )
+
+
+# Graphs on which a ray pair passes the zero-count bound without being
+# adjacent first show up after about 180 examples.
+@settings(SETTINGS, max_examples=300)
+@given(small_graphs())
+def test_vertices_match_the_subset_scan(g):
+    for kind in "PQ":
+        want = brute_vertices(g, kind)  # None past 2,000 subsets
+        if want is not None:
+            assert polytope_vertices(g, kind) == want

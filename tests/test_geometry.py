@@ -1,11 +1,14 @@
 """Exact linear algebra and polytope vertex enumeration."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from magiclab import (
     BudgetExceededError,
+    Graph,
     Labeling,
     bouquet,
     build_graph,
@@ -25,13 +28,53 @@ from magiclab import (
     polytope_vertices,
     solve_rational,
 )
-from magiclab.verification import bridged_blocks
+from magiclab.geometry import _affine_solution_space
+from magiclab.verification import bridged_blocks, corpus
 
 F = Fraction
+
+SCAN_LIMIT = 2000
 
 
 def frac_point(*values):
     return tuple(F(v) for v in values)
+
+
+def brute_vertices(g, kind, limit=SCAN_LIMIT):
+    """Vertices by the subset scan, or None past ``limit`` subsets.
+
+    Every bound is a halfspace in the residual coordinates of the
+    equality system, with parallel copies merged; each subset of
+    dimension-many halfspaces is set active and solved exactly, and a
+    solution is kept when its point meets every bound in edge
+    coordinates.
+    """
+    desc = magic_constraints(g, kind)
+    par = _affine_solution_space(desc)
+    if par is None:
+        return []
+    x0, basis = par
+    d, m = len(basis), desc.num_coords
+    halfspaces = {}
+    for e in range(m):
+        row = [basis[j][e] for j in range(d)]
+        for sign, bound in [(-1, x0[e])] + ([(1, 1 - x0[e])] if desc.box else []):
+            lead = next((abs(c) for c in row if c), None)
+            if lead is not None:
+                halfspaces[tuple(sign * c / lead for c in row), bound / lead] = None
+    if limit is not None and comb(len(halfspaces), d) > limit:
+        return None
+    found = set()
+    for subset in combinations(halfspaces, d):
+        u = solve_rational([cs for cs, _ in subset], [b for _, b in subset])
+        if u is None:
+            continue
+        pt = tuple(
+            x0[e] + sum(basis[j][e] * u[j] for j in range(d)) for e in range(m)
+        )
+        if all(x >= 0 and (not desc.box or x <= 1) for x in pt):
+            found.add(pt)
+    return sorted(found)
 
 
 class TestSolveRational:
@@ -86,15 +129,18 @@ class TestVertices:
         got = set(polytope_vertices(bouquet(2), "Q"))
         assert got == {frac_point(1, 0), frac_point(0, 1)}
 
-    def test_gn_p_vertices(self):
-        for n in range(2, 5):
-            g = make_gn(n)
-            got = set(polytope_vertices(g, "P"))
-            expected = {tuple(F(0) for _ in g.edges)}
-            for i in range(1, n + 1):
-                expected.add(tuple(F(x) for x in li_matching(n, i).labels))
-            expected.add(tuple(F(x, n - 1) for x in lstar(n).labels))
-            assert got == expected
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_gn_p_vertices(self, n):
+        # The zero labeling, the n matchings and lstar / (n - 1), at the
+        # default budget; gn(8) has 10,518,300 halfspace subsets.
+        g = make_gn(n)
+        got = set(polytope_vertices(g, "P"))
+        expected = {tuple(F(0) for _ in g.edges)}
+        for i in range(1, n + 1):
+            expected.add(tuple(F(x) for x in li_matching(n, i).labels))
+        expected.add(tuple(F(x, n - 1) for x in lstar(n).labels))
+        assert got == expected
+        assert polytope_denominator(g, "P") == n - 1
 
     def test_g3_q_vertices_are_matchings(self):
         got = set(polytope_vertices(make_gn(3), "Q"))
@@ -105,6 +151,27 @@ class TestVertices:
 
     def test_empty_q_polytope(self):
         assert polytope_vertices(path_graph(3), "Q") == []
+
+    def test_redundant_bounds_do_not_add_vertices(self):
+        # P is the triangle x1 + x3 <= 1 in the two loops' labels; the
+        # loops' own bounds x <= 1 touch it only at corners, so rays pass
+        # the zero-count bound there without being adjacent.
+        g = Graph(("u", "v", "w"), (("w", "u"), ("v", "v"), ("u", "v"), ("v", "v")))
+        assert polytope_vertices(g, "P") == [
+            frac_point(0, 0, 0, 0),
+            frac_point(1, 0, 0, 1),
+            frac_point(1, 1, 0, 0),
+        ]
+
+    def test_bound_with_no_free_direction_can_empty_the_polytope(self):
+        # v's two leaves force both their edges to 1, so Q needs the loop
+        # at v at -1; the 4-cycle keeps one free direction.
+        g = build_graph(
+            ["v", "w1", "w2", "a", "b", "c", "d"],
+            [("v", "v"), ("v", "w1"), ("v", "w2")]
+            + [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
+        )
+        assert polytope_vertices(g, "Q") == []
 
     def test_no_edge_graph_is_single_point(self):
         g = build_graph(["a", "b"], [])
@@ -140,10 +207,28 @@ class TestVertices:
                 lab = Labeling(g, tuple(int(c * d) for c in v))
                 assert is_magic(lab) is not None
 
-    def test_budget_error_reports_requirement(self):
+    def test_exact_minimal_budget(self):
+        # gn(4)/P takes 103 pair tests in all.
+        g = make_gn(4)
         with pytest.raises(BudgetExceededError) as err:
-            polytope_vertices(make_gn(4), "P", budget=10)
-        assert err.value.required is not None and err.value.required > 10
+            polytope_vertices(g, "P", budget=102)
+        assert err.value.required is None
+        assert "vertex enumeration" in str(err.value)
+        assert "pair tests" in str(err.value)
+        assert len(polytope_vertices(g, "P", budget=103)) == 6
+
+    @pytest.mark.parametrize(
+        "name, kind",
+        [
+            (name, kind)
+            for name, _ in corpus()
+            for kind in "PQ"
+            if (name, kind) != ("g5", "P")  # 15,504 subsets; see test_gn_p_vertices
+        ],
+    )
+    def test_matches_the_subset_scan_on_the_corpus(self, name, kind):
+        g = dict(corpus())[name]
+        assert polytope_vertices(g, kind) == brute_vertices(g, kind, limit=None)
 
 
 class TestPointDenominator:
@@ -232,8 +317,8 @@ class TestFactsCache:
         g = make_gn(4)
         assert len(polytope_vertices(g, "P")) == 6
         with pytest.raises(BudgetExceededError) as err:
-            polytope_vertices(g, "P", budget=10)
-        assert err.value.required == 1820
+            polytope_vertices(g, "P", budget=102)
+        assert err.value.required is None
 
     def test_returned_list_is_a_copy(self):
         g = make_gn(3)

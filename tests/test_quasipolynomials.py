@@ -263,10 +263,13 @@ class TestEhrhart:
         with pytest.raises(ValueError):
             ehrhart_of_polytope(path_graph(3), "Q")
 
-    def test_one_budget_caps_the_vertex_scan(self):
-        with pytest.raises(BudgetExceededError) as err:
-            ehrhart_of_polytope(make_gn(4), budget=100)
-        assert err.value.required == 1820
+    def test_one_budget_caps_the_vertex_enumeration(self):
+        # gn(4)/P takes 103 pair tests; at 103 the vertices are found and
+        # the counts then exceed the same budget in search nodes.
+        with pytest.raises(BudgetExceededError, match="vertex enumeration"):
+            ehrhart_of_polytope(make_gn(4), budget=102)
+        with pytest.raises(BudgetExceededError, match="node budget of 103"):
+            ehrhart_of_polytope(make_gn(4), budget=103)
 
 
 class TestCoefficientStructure:

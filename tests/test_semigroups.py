@@ -53,6 +53,11 @@ class TestValidation:
             validate_element(make_gn(3), "Q", SemigroupElement(lstar(3), 2))
         validate_element(make_gn(3), "Q", SemigroupElement(lstar(3), 3))
 
+    @pytest.mark.parametrize("height", [2.5, 2.0, "2", None])
+    def test_height_must_be_an_integer(self, height):
+        with pytest.raises(ValueError):
+            SemigroupElement(lstar(3), height)
+
     def test_non_magic_rejected(self):
         g = make_gn(2)
         bad = Labeling(g, (1, 0, 0, 0, 0, 0))

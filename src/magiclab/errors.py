@@ -2,18 +2,42 @@
 
 
 class BudgetExceededError(RuntimeError):
-    """A search exceeded its configured budget.
+    """A budgeted phase did more work than its budget allows.
 
-    The labeling searches count search nodes and the vertex enumeration
-    counts pair tests, each as the work is done, and raise at the first
-    unit over the budget.  ``required`` carries the budget that would
-    have sufficed when the raising phase knows it; neither of these
-    phases does, so for them it is None.
+    Each phase counts its own unit of work as the work is done and raises
+    at the first unit over the budget:
+
+    - ``"search"``: nodes, the label values the labeling search offers;
+    - ``"counting"``: state transitions of the counting DP;
+    - ``"vertex enumeration"``: pair tests of the double description;
+    - ``"Stanley extraction"``: pieces tried by the decomposition.
+
+    ``phase`` names the phase, ``consumed`` is the work it had counted
+    when it stopped (more than ``budget``) and ``budget`` is the cap.
     """
 
-    def __init__(self, message: str, required: int | None = None):
+    def __init__(
+        self,
+        message: str,
+        *,
+        phase: str | None = None,
+        consumed: int | None = None,
+        budget: int | None = None,
+    ):
         super().__init__(message)
-        self.required = required
+        self.phase = phase
+        self.consumed = consumed
+        self.budget = budget
+
+    @classmethod
+    def over(cls, phase: str, unit: str, budget: int, consumed: int):
+        """The error a phase raises, with its one message format."""
+        return cls(
+            f"{phase} exceeded the budget of {budget} {unit} (reached {consumed})",
+            phase=phase,
+            consumed=consumed,
+            budget=budget,
+        )
 
 
 class ConsistencyError(RuntimeError):

@@ -204,9 +204,8 @@ def _extreme_rays(rows, n: int, budget: int) -> list[tuple[int, ...]]:
                 kept.append((r, z | bit))
         used += len(pos) * len(neg)
         if used > budget:
-            raise BudgetExceededError(
-                f"vertex enumeration exceeded the budget of {budget} pair tests"
-                f" (reached {used})"
+            raise BudgetExceededError.over(
+                "vertex enumeration", "pair tests", budget, used
             )
         # A positive and a negative ray are adjacent when no third ray
         # vanishes on every row that both vanish on; adjacent rays share at

@@ -1,4 +1,4 @@
-"""Integer edge labelings, magic tests, and exhaustive exact enumeration."""
+"""Integer edge labelings, magic tests, exact enumeration and counting."""
 
 from __future__ import annotations
 
@@ -170,9 +170,7 @@ def _labelings(g: Graph, caps, indices, budget):
                 if budget is not None:
                     nodes += hi - lo + 1
                     if nodes > budget:
-                        raise BudgetExceededError(
-                            f"enumeration exceeded the node budget of {budget}"
-                        )
+                        raise BudgetExceededError.over("search", "nodes", budget, nodes)
                 labels[ei] = lo
                 top[t] = hi
                 for vi in ends:
@@ -203,8 +201,88 @@ def _collect(g: Graph, caps, indices, budget) -> list[Labeling]:
     return [Labeling(g, tuple(buf)) for buf in _labelings(g, caps, indices, budget)]
 
 
+def _count_plan(g: Graph, caps, capacity):
+    # One step per edge in _assignment_order.  The DP state is the tuple
+    # of partial sums of the open vertices (touched, not yet closed) in
+    # the order they opened.  A step holds the edge's cap, the zeros that
+    # open its new ends, a (state position, capacity left after this edge)
+    # pair per end, and a picker that drops the ends the edge closes.
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    steps = []
+    for ei in _assignment_order(g):
+        u, w = g.edges[ei]
+        steps.append((ei, (vidx[u],) if u == w else (vidx[u], vidx[w])))
+    last = {vi: t for t, (_, ends) in enumerate(steps) for vi in ends}
+    caprem = list(capacity)
+    frontier: list[int] = []
+    plan = []
+    for t, (ei, ends) in enumerate(steps):
+        fresh = [vi for vi in ends if vi not in frontier]
+        frontier += fresh
+        bounds = []
+        for vi in ends:
+            caprem[vi] -= caps[ei]
+            bounds.append((frontier.index(vi), caprem[vi]))
+        keep = [p for p, vi in enumerate(frontier) if last[vi] != t]
+        frontier = [frontier[p] for p in keep]
+        if len(keep) > 1:
+            pick = operator.itemgetter(*keep)
+        else:
+            # itemgetter returns a bare item for one index and fails on none.
+            pick = lambda s, keep=keep: tuple(s[p] for p in keep)
+        plan.append((caps[ei], (0,) * len(fresh), tuple(bounds), pick))
+    return plan
+
+
 def _count(g: Graph, caps, indices, budget) -> int:
-    return sum(1 for _ in _labelings(g, caps, indices, budget))
+    # Frontier (transfer-matrix) DP, one pass per target: the number of
+    # labelings the search _labelings would yield, without visiting each.
+    # Every edge label is bounded as in the search; an edge that closes a
+    # vertex has no capacity left there, so its label is forced to the
+    # target minus the vertex's sum.  ``budget`` caps the state
+    # transitions, one per (state, label value), over all targets.
+    capacity = [sum(caps[ei] for ei in g.incidence[v]) for v in g.vertices]
+    least = min(capacity, default=0)
+    plan = _count_plan(g, caps, capacity)
+    total = used = 0
+    for target in range(least + 1) if indices is None else indices:
+        if not 0 <= target <= least:
+            continue
+        states = {(): 1}
+        for cap, pad, bounds, pick in plan:
+            nxt: dict[tuple[int, ...], int] = {}
+            get = nxt.get
+            for state, mult in states.items():
+                s = list(state + pad)
+                lo, hi = 0, cap
+                for p, after in bounds:
+                    need = target - s[p]
+                    if need - after > lo:
+                        lo = need - after
+                    if need < hi:
+                        hi = need
+                if lo > hi:
+                    continue
+                used += hi - lo + 1
+                if budget is not None and used > budget:
+                    raise BudgetExceededError.over(
+                        "counting", "state transitions", budget, used
+                    )
+                for p, _after in bounds:
+                    s[p] += lo
+                if lo == hi:  # forced, as at every closing edge
+                    key = pick(s)
+                    nxt[key] = get(key, 0) + mult
+                    continue
+                for _ in range(lo, hi + 1):
+                    key = pick(s)
+                    nxt[key] = get(key, 0) + mult
+                    for p, _after in bounds:
+                        s[p] += 1
+            states = nxt
+        # Every vertex has closed, so the only state left is ().
+        total += states.get((), 0)
+    return total
 
 
 def _uniform_caps(g: Graph, k: int) -> list[int]:
@@ -226,7 +304,13 @@ def enumerate_magic_k(g: Graph, k: int, *, budget: int | None = None) -> list[La
 
 
 def count_magic_k(g: Graph, k: int, *, budget: int | None = None) -> int:
-    """Number of magic labelings with every label at most k (streamed)."""
+    """Number of magic labelings with every label at most k.
+
+    Counted by a frontier (transfer-matrix) dynamic program over the
+    edges, one pass per candidate index, without visiting each labeling.
+    ``budget`` caps the state transitions: one per (state, label value)
+    tried, summed over every index.
+    """
     caps = _uniform_caps(g, k)
     return _count(g, caps, None, budget)
 
@@ -241,7 +325,10 @@ def enumerate_index_k(g: Graph, k: int, *, budget: int | None = None) -> list[La
 
 
 def count_index_k(g: Graph, k: int, *, budget: int | None = None) -> int:
-    """Number of magic labelings with index exactly k (streamed)."""
+    """Number of magic labelings with index exactly k.
+
+    One pass of the dynamic program of ``count_magic_k``, with its budget.
+    """
     return _count(g, _uniform_caps(g, k), (k,), budget)
 
 

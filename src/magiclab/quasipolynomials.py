@@ -217,10 +217,11 @@ def ehrhart_of_polytope(
 
     The vertex denominators fix the fitting period and the vertex set's
     affine rank the degree; counts for k = 0 .. period*(degree+2)-1 come
-    from exhaustive enumeration, and the validated fit is returned with
-    its period minimized.  ``budget`` caps both the vertex-enumeration
-    pair tests and the nodes of each count; ``None`` means
-    ``geometry.DEFAULT_VERTEX_BUDGET`` pair tests and no node cap.
+    from the counting dynamic program of ``labelings.count_magic_k`` (or
+    ``count_index_k`` for Q), and the validated fit is returned with its
+    period minimized.  ``budget`` caps both the vertex-enumeration pair
+    tests and the state transitions of each count; ``None`` means
+    ``geometry.DEFAULT_VERTEX_BUDGET`` pair tests and no transition cap.
     """
     vertex_budget = geometry.DEFAULT_VERTEX_BUDGET if budget is None else budget
     den = geometry.polytope_denominator(g, kind, budget=vertex_budget)

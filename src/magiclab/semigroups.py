@@ -232,8 +232,8 @@ def _extract(pool, labels, idx, budget) -> list[Labeling] | None:
         for i in range(start, len(pool)):
             tried += 1
             if budget is not None and tried > budget:
-                raise BudgetExceededError(
-                    f"decomposition exceeded the budget of {budget} pieces tried"
+                raise BudgetExceededError.over(
+                    "Stanley extraction", "pieces tried", budget, tried
                 )
             p_idx, piece = pool[i]
             if p_idx > rem_idx or any(p > r for p, r in zip(piece.labels, rem)):

@@ -102,18 +102,18 @@ def check_g4_ehrhart_exact() -> str | None:
 
 
 def check_closed_form_counts() -> str | None:
-    for n in range(2, 5):
+    for n in range(2, 7):
         g = make_gn(n)
         for k in range(7):
             got = labelings.count_magic_k(g, k)
             want = quasipolynomials.closed_form_mn(n, k)
             if got != want:
-                return f"n={n} k={k}: enumerated {got}, closed form {want}"
+                return f"n={n} k={k}: counted {got}, closed form {want}"
     return None
 
 
 def check_gn_vertex_denominators() -> str | None:
-    for n in range(2, 6):
+    for n in range(2, 9):
         g = make_gn(n)
         verts = geometry.polytope_vertices(g, "P")
         if len(verts) != n + 2:
@@ -176,7 +176,7 @@ def check_minimum_quasiperiod_values() -> str | None:
         mqp = _fit_fn(n).minimum_quasiperiod()
         if mqp != n:
             return f"summatory function order {n}: quasiperiod {mqp} != {n}"
-    for n in range(2, 6):
+    for n in range(2, 7):
         mqp = _ehrhart_p(make_gn(n)).minimum_quasiperiod()
         if mqp != n - 1:
             return f"gn n={n}: quasiperiod {mqp} != {n - 1}"

@@ -321,6 +321,8 @@ class TestFn:
 class TestBudgets:
     def test_count_budget_exit_code(self, g4_path, capsys):
         assert main(["count", "--graph", g4_path, "-k", "6", "--budget", "5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: counting exceeded the budget of 5 state transitions")
 
     def test_vertices_budget_exit_code(self, g4_path, capsys):
         assert main(["vertices", "--graph", g4_path, "--budget", "5"]) == 3

@@ -1,10 +1,11 @@
 """Randomised differential tests against brute force.
 
-The labeling search is checked against filtered label cubes and the
-vertex enumeration against the subset scan.  Graphs are small (at most
-5 vertices and 7 edges) with loops, parallel loops and isolated
-vertices, so every label cube can be filtered in full.  Examples are
-derandomised, so each run tries the same graphs.
+The labeling search is checked against filtered label cubes, the
+vertex enumeration against the subset scan and the counting DP against
+the labeling search.  Graphs are small (at most 5 vertices and 7 edges
+where a label cube is filtered in full) with loops, parallel loops and
+isolated vertices.  Examples are derandomised, so each run tries the
+same graphs.
 """
 
 import itertools
@@ -21,6 +22,7 @@ from magiclab import (
     perfect_matchings,
     polytope_vertices,
 )
+from magiclab.labelings import _labelings
 from test_geometry import brute_vertices
 from test_graphs import brute_perfect_matchings
 
@@ -40,6 +42,21 @@ def small_graphs(draw):
             continue  # Graph allows parallel loops but not parallel edges
         seen.add(key)
         edges.append((vs[a], vs[b]))
+    return Graph(vs, tuple(edges))
+
+
+@st.composite
+def loop_graphs(draw):
+    """Up to 7 vertices, 9 distinct links and 2 loops per vertex."""
+    n = draw(st.integers(0, 7))
+    vs = tuple(f"v{i}" for i in range(n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    links = []
+    if pairs:
+        links = draw(st.lists(st.sampled_from(pairs), max_size=9, unique=True))
+    loops = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    edges = [(vs[a], vs[b]) for a, b in links]
+    edges += [(v, v) for v, c in zip(vs, loops) for _ in range(c)]
     return Graph(vs, tuple(edges))
 
 
@@ -95,3 +112,16 @@ def test_vertices_match_the_subset_scan(g):
         want = brute_vertices(g, kind)  # None past 2,000 subsets
         if want is not None:
             assert polytope_vertices(g, kind) == want
+
+
+# The counting DP against the search it replaced for counting; the graph
+# with no vertices and an edgeless graph always run.
+@SETTINGS
+@given(
+    st.one_of(st.just(Graph((), ())), st.just(Graph(("a", "b"), ())), loop_graphs()),
+    st.integers(0, 3),
+)
+def test_counts_match_the_labeling_search(g, k):
+    caps = [k] * len(g.edges)
+    assert count_magic_k(g, k) == sum(1 for _ in _labelings(g, caps, None, None))
+    assert count_index_k(g, k) == sum(1 for _ in _labelings(g, caps, (k,), None))

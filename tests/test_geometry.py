@@ -212,7 +212,7 @@ class TestVertices:
         g = make_gn(4)
         with pytest.raises(BudgetExceededError) as err:
             polytope_vertices(g, "P", budget=102)
-        assert err.value.required is None
+        assert (err.value.phase, err.value.consumed) == ("vertex enumeration", 103)
         assert "vertex enumeration" in str(err.value)
         assert "pair tests" in str(err.value)
         assert len(polytope_vertices(g, "P", budget=103)) == 6
@@ -318,7 +318,7 @@ class TestFactsCache:
         assert len(polytope_vertices(g, "P")) == 6
         with pytest.raises(BudgetExceededError) as err:
             polytope_vertices(g, "P", budget=102)
-        assert err.value.required is None
+        assert (err.value.phase, err.value.consumed) == ("vertex enumeration", 103)
 
     def test_returned_list_is_a_copy(self):
         g = make_gn(3)

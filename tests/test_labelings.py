@@ -326,17 +326,34 @@ class TestBudget:
     def test_budget_large_enough_passes(self):
         assert count_magic_k(make_gn(2), 1, budget=10**6) == 4
 
-    # The smallest budgets that succeed; each counts hi - lo + 1 label
-    # values per search position before the values are tried.
+    # The smallest budgets that succeed.  Counting takes one unit per
+    # (DP state, label value) tried, summed over every index; the search
+    # counts hi - lo + 1 label values per position before trying them.
     def test_exact_budget_count_magic_k(self):
-        assert count_magic_k(make_gn(4), 3, budget=428) == 36
-        with pytest.raises(BudgetExceededError):
-            count_magic_k(make_gn(4), 3, budget=427)
+        assert count_magic_k(make_gn(4), 3, budget=275) == 36
+        with pytest.raises(BudgetExceededError) as err:
+            count_magic_k(make_gn(4), 3, budget=274)
+        assert (err.value.phase, err.value.consumed, err.value.budget) == (
+            "counting",
+            275,
+            274,
+        )
+        assert str(err.value) == (
+            "counting exceeded the budget of 274 state transitions (reached 275)"
+        )
 
     def test_exact_budget_count_index_k(self):
-        assert count_index_k(make_gn(4), 3, budget=188) == 20
-        with pytest.raises(BudgetExceededError):
-            count_index_k(make_gn(4), 3, budget=187)
+        assert count_index_k(make_gn(4), 3, budget=96) == 20
+        with pytest.raises(BudgetExceededError) as err:
+            count_index_k(make_gn(4), 3, budget=95)
+        assert (err.value.phase, err.value.consumed) == ("counting", 96)
+
+    def test_search_error_names_its_phase(self):
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_magic_k(make_gn(3), 3, budget=10)
+        assert err.value.phase == "search" and err.value.budget == 10
+        assert err.value.consumed > 10
+        assert str(err.value).startswith("search exceeded the budget of 10 nodes")
 
     def test_exact_budget_bounded(self):
         assert len(enumerate_magic_bounded(bouquet(2), [2, 3], budget=24)) == 12

@@ -265,10 +265,13 @@ class TestEhrhart:
 
     def test_one_budget_caps_the_vertex_enumeration(self):
         # gn(4)/P takes 103 pair tests; at 103 the vertices are found and
-        # the counts then exceed the same budget in search nodes.
+        # the counts then exceed the same budget in state transitions.
         with pytest.raises(BudgetExceededError, match="vertex enumeration"):
             ehrhart_of_polytope(make_gn(4), budget=102)
-        with pytest.raises(BudgetExceededError, match="node budget of 103"):
+        with pytest.raises(
+            BudgetExceededError,
+            match="counting exceeded the budget of 103 state transitions",
+        ):
             ehrhart_of_polytope(make_gn(4), budget=103)
 
 

@@ -284,8 +284,9 @@ class TestStanleyDecompose:
         lab = scaled(lstar(3), 700)
         caps = [min(x, 2) for x in lab.labels]
         assert enumerate_magic_bounded(lab.graph, caps, budget=1000)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as err:
             stanley_decompose(lab, budget=1000)
+        assert (err.value.phase, err.value.consumed) == ("Stanley extraction", 1001)
         assert len(stanley_decompose(lab, budget=10**4)) == 2100
 
 

@@ -1,14 +1,16 @@
-"""Exact rational linear algebra and polytope vertex enumeration.
+"""Exact polytope vertex enumeration, denominators and dimensions.
 
-Everything here is exact: rows are reduced over ``fractions.Fraction``
-and the vertex enumeration runs on Python ints; no floating point is
-used anywhere.  Points are plain tuples of fractions in the graph's
-edge coordinate order.
+The magic polytope of a graph is described in homogeneous coordinates
+(t, x), one x per edge in the graph's edge order: every vertex-sum
+equation is an equality row, and the bounds x_e >= 0 (and x_e <= t for
+P) are inequality rows of a cone whose slice t = 1 is the polytope.
+The cone's extreme rays come from an integer double description on
+Python ints; no row is ever eliminated over fractions and no floating
+point is used anywhere.  Points are plain tuples of fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -30,148 +32,46 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-@dataclass(frozen=True)
-class PolytopeDescription:
-    """Equality rows over edge coordinates plus the standard bounds.
-
-    Each row satisfies ``rows[i] . x == rhs[i]``.  All coordinates obey
-    ``x >= 0``; when ``box`` is set they also obey ``x <= 1``.
-    """
-
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-    num_coords: int
-    box: bool
-
-
-def _vertex_row(g: Graph, v: str) -> list[Fraction]:
-    row = [Fraction(0)] * len(g.edges)
-    for ei in g.incidence[v]:
-        row[ei] += 1
-    return row
-
-
-def magic_constraints(g: Graph, kind: str) -> PolytopeDescription:
-    """Linear description of the magic polytope of g.
-
-    Kind "P": the vertex sums of the first vertex and each later vertex
-    agree (|V| - 1 rows, right-hand side 0), with the box [0, 1] on every
-    coordinate.  Kind "Q": every vertex sum equals 1 (|V| rows), with
-    nonnegativity only.
-    """
-    _check_kind(kind)
-    m = len(g.edges)
-    rows: list[tuple[Fraction, ...]] = []
-    rhs: list[Fraction] = []
-    if kind == "P":
-        if g.vertices:
-            base = _vertex_row(g, g.vertices[0])
-            for v in g.vertices[1:]:
-                row = _vertex_row(g, v)
-                rows.append(tuple(a - b for a, b in zip(row, base)))
-                rhs.append(Fraction(0))
-    else:
-        for v in g.vertices:
-            rows.append(tuple(_vertex_row(g, v)))
-            rhs.append(Fraction(1))
-    return PolytopeDescription(tuple(rows), tuple(rhs), m, box=(kind == "P"))
-
-
-def solve_rational(matrix, rhs) -> Point | None:
-    """Unique solution of a square exact linear system, or None if singular."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("system must be square with a matching right-hand side")
-    aug, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)], n)
-    if len(pivots) < n:
-        return None
-    return tuple(row[n] for row in aug)
-
-
-def _rref(rows, ncols: int):
-    """Reduced row echelon form of ``rows`` over their first ``ncols`` columns.
-
-    Returns ``(rows, pivots)``: the reduced rows as lists of fractions and
-    the pivot column of each of the first ``len(pivots)`` rows.  The later
-    rows are zero in the first ``ncols`` columns.
-    """
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        row = len(pivots)
-        if row == len(work):
-            break
-        piv = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        inv = work[row][col]
-        work[row] = [x / inv for x in work[row]]
-        for r in range(len(work)):
-            if r != row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[row])]
-        pivots.append(col)
-    return work, pivots
-
-
-def matrix_rank(rows) -> int:
-    """Rank of a rational matrix given as an iterable of rows."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    return len(_rref(rows, len(rows[0]))[1])
-
-
-def _affine_solution_space(desc: PolytopeDescription):
-    """Particular solution and null basis of the equality system.
-
-    Returns ``(x0, basis)`` with the solution set {x0 + basis . u}, or
-    None when the system is inconsistent.
-    """
-    m = desc.num_coords
-    aug, pivots = _rref(
-        [list(row) + [b] for row, b in zip(desc.rows, desc.rhs)], m
-    )
-    if any(aug[r][m] != 0 for r in range(len(pivots), len(aug))):
-        return None
-    free = [c for c in range(m) if c not in pivots]
-    x0 = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        x0[col] = aug[r][m]
-    basis: list[Point] = []
-    for f_col in free:
-        vec = [Fraction(0)] * m
-        vec[f_col] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -aug[r][f_col]
-        basis.append(tuple(vec))
-    return tuple(x0), basis
-
-
 def _primitive(v) -> tuple[int, ...]:
     # An integer vector divided by the gcd of its entries.
     g = gcd(*v)
     return tuple(c // g for c in v) if g > 1 else tuple(v)
 
 
-def _canonical_halfspace(row) -> tuple[int, ...]:
-    # Scale a row by a positive rational so its entries become a primitive
-    # integer vector; rows of the same halfspace then compare equal.
-    scale = lcm(*(c.denominator for c in row))
-    return _primitive([int(c * scale) for c in row])
-
-
 def _combine(a: int, x, b: int, y) -> tuple[int, ...]:
     return _primitive([a * p + b * q for p, q in zip(x, y)])
 
 
-def _extreme_rays(rows, n: int, budget: int) -> list[tuple[int, ...]]:
-    # Double description of the cone {x in Z^n : row . x >= 0 for every
-    # row}, adding one row at a time.  The cone so far is span(lin) +
-    # cone(rays), the rays being its extreme rays modulo span(lin); each
-    # ray carries the bitmask of the rows added so far that vanish on it.
+def _rank(rows) -> int:
+    # Rank of integer rows by fraction-free elimination: each pivot row
+    # clears its leading column from the others, which stay integral.
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    while rows:
+        p = rows.pop()
+        j = next(j for j, c in enumerate(p) if c)
+        rows = [s for r in rows if any(s := _combine(p[j], r, -r[j], p))]
+        rank += 1
+    return rank
+
+
+def _extreme_rays(eqs, rows, n: int, budget: int) -> list[tuple[int, ...]]:
+    # Double description of the cone {x in Z^n : eq . x == 0 for every eq,
+    # row . x >= 0 for every row}, adding one row at a time.  The cone so
+    # far is span(lin) + cone(rays), the rays being its extreme rays
+    # modulo span(lin); each ray carries the bitmask of the rows added so
+    # far that vanish on it.
     lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for a in eqs:
+        # No ray exists yet, so an equality only cuts the lineality space:
+        # one direction it does not vanish on is dropped and the rest is
+        # projected along it into the hyperplane.
+        k = next((k for k, l in enumerate(lin) if sum(map(mul, a, l))), None)
+        if k is not None:
+            cut = lin.pop(k)
+            s = sum(map(mul, a, cut))
+            lin = [_combine(s, l, -sum(map(mul, a, l)), cut) for l in lin]
+    dim = len(lin)  # of the equations' solution space
     rays: list[tuple[tuple[int, ...], int]] = []
     used = 0
     for i, a in enumerate(rows):
@@ -209,8 +109,8 @@ def _extreme_rays(rows, n: int, budget: int) -> list[tuple[int, ...]]:
             )
         # A positive and a negative ray are adjacent when no third ray
         # vanishes on every row that both vanish on; adjacent rays share at
-        # least n - len(lin) - 2 zeros, which rules most pairs out first.
-        need = n - len(lin) - 2
+        # least dim - len(lin) - 2 zeros, which rules most pairs out first.
+        need = dim - len(lin) - 2
         zeros = [z for _, z in rays]
         for p, zp, vp in pos:
             for q, zq, vq in neg:
@@ -224,34 +124,24 @@ def _extreme_rays(rows, n: int, budget: int) -> list[tuple[int, ...]]:
     return [r for r, _ in rays]
 
 
-def _enumerate_vertices(g: Graph, kind: str, budget: int) -> list[Point]:
-    # The vertex enumeration behind polytope_vertices; see its docstring.
-    desc = magic_constraints(g, kind)
-    m = desc.num_coords
-    par = _affine_solution_space(desc)
-    if par is None:
-        return []
-    x0, basis = par
-    d = len(basis)
-    # In homogeneous coordinates (t, u) the bound x_e >= 0 reads
-    # x0_e t + basis_e . u >= 0 and the bound x_e <= 1 reads
-    # (1 - x0_e) t - basis_e . u >= 0; the polytope is the slice t = 1.
-    rows = {(1,) + (0,) * d: None}
-    for e in range(m):
-        row = (x0[e],) + tuple(basis[j][e] for j in range(d))
-        rows[_canonical_halfspace(row)] = None
-        if desc.box:
-            rows[_canonical_halfspace([1 - row[0]] + [-c for c in row[1:]])] = None
-    found = []
-    for t, *u in _extreme_rays(list(rows), d + 1, budget):
-        if t > 0:
-            found.append(
-                tuple(
-                    x0[e] + sum(basis[j][e] * Fraction(u[j], t) for j in range(d))
-                    for e in range(m)
-                )
-            )
-    return sorted(found)
+def _enumerate_vertices(g: Graph, kind: str, budget: int) -> list[tuple[int, ...]]:
+    # The extreme rays (t, x) with t > 0 behind polytope_vertices; see its
+    # docstring.
+    n = len(g.edges) + 1
+    sums = []
+    for v in g.vertices:
+        row = [0] * n
+        for ei in g.incidence[v]:
+            row[ei + 1] = 1
+        sums.append(row)
+    if kind == "P":
+        eqs = [[a - b for a, b in zip(row, sums[0])] for row in sums[1:]]
+    else:
+        eqs = [[-1] + row[1:] for row in sums]
+    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if kind == "P":
+        rows += [tuple((j == 0) - (j == e) for j in range(n)) for e in range(1, n)]
+    return [r for r in _extreme_rays(eqs, rows, n, budget) if r[0] > 0]
 
 
 @lru_cache(maxsize=64)
@@ -261,13 +151,11 @@ def _polytope_facts(g: Graph, kind: str, budget: int):
     Always called positionally, so one (graph, kind, budget) is one cache
     entry.  A budget error propagates and is not cached.
     """
-    verts = tuple(_enumerate_vertices(g, _check_kind(kind), budget))
-    den = lcm(*(point_denominator(v) for v in verts))
-    if not verts:
-        return verts, den, -1
-    first = verts[0]
-    dim = matrix_rank([[a - b for a, b in zip(v, first)] for v in verts[1:]])
-    return verts, den, dim
+    rays = _enumerate_vertices(g, _check_kind(kind), budget)
+    verts = tuple(sorted(tuple(Fraction(c, t) for c in x) for t, *x in rays))
+    # Rays are primitive, so the vertex x / t has denominator exactly t;
+    # the rays span the cone over the vertices, one more than their hull.
+    return verts, lcm(*(r[0] for r in rays)), _rank(rays) - 1
 
 
 def polytope_vertices(
@@ -275,16 +163,21 @@ def polytope_vertices(
 ) -> list[Point]:
     """All vertices of the magic polytope, exactly, in sorted order.
 
-    The equality system is eliminated first, leaving d residual
-    coordinates u.  Every bound becomes a halfspace in u, homogenised to
-    a primitive integer row of a cone in the d + 1 coordinates (t, u);
-    duplicates are merged and the row t >= 0 is added.  A double
-    description (Motzkin et al. 1953; Fukuda and Prodon 1996) then finds
-    the cone's extreme rays on Python ints: rows are added one at a time,
-    each ray on the row's positive side is paired with each ray on its
-    negative side, and an adjacent pair (judged on the rays' zero sets)
-    gives a new ray, combined fraction-free and divided by its gcd.  Each
-    extreme ray with t > 0 is the vertex u / t.
+    The polytope is the slice t = 1 of a cone in the coordinates (t, x).
+    A double description (Motzkin et al. 1953; Fukuda and Prodon 1996)
+    finds the cone's extreme rays on Python ints, one row at a time.  The
+    vertex-sum equations come first, as equality rows: the cone is then
+    still a linear space, so each equation only cuts it down and adds no
+    ray.  The bounds follow, t >= 0 and every x_e >= 0, then every
+    x_e <= t for P.  Each bound either cuts the remaining linear space,
+    giving one new ray, or pairs each ray on its positive side with each
+    ray on its negative side; an adjacent pair (judged on the rays' zero
+    sets) gives a new ray, combined fraction-free and divided by its gcd.
+    Each extreme ray with t > 0 is the vertex x / t.  The order matters
+    for speed only: the equations first keep every intermediate cone
+    inside their solution space, and every lower bound before any upper
+    bound keeps those cones small (36 pair tests for gn(4)/P, 7,356 for
+    gn(8)/P).
 
     ``budget`` caps the pair tests, the positive-by-negative ray pairs
     considered, summed over the rows; BudgetExceededError is raised once

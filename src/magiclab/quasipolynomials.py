@@ -177,10 +177,10 @@ def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
     """Exact interpolation of consecutive samples starting at 0.
 
     ``samples[k]`` is the value at k.  Each residue class is fitted from
-    its first degree+1 samples; every remaining sample then validates
-    the fit, so a wrong period or degree guess raises ValueError instead
-    of returning a bad quasipolynomial.  Needs at least
-    period * (degree + 2) samples.
+    its first degree+1 samples by Newton's forward differences; every
+    remaining sample then validates the fit, so a wrong period or degree
+    guess raises ValueError instead of returning a bad quasipolynomial.
+    Needs at least period * (degree + 2) samples.
     """
     if period < 1:
         raise ValueError("period must be positive")
@@ -193,14 +193,20 @@ def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
         )
     parts = []
     for r in range(period):
-        ts = [r + j * period for j in range(degree + 1)]
-        matrix = [[Fraction(t) ** i for i in range(degree + 1)] for t in ts]
-        rhs = [values[t] for t in ts]
-        sol = geometry.solve_rational(matrix, rhs)
-        if sol is None:  # Vandermonde on distinct points; cannot happen
-            raise ValueError("interpolation system was singular")
-        parts.append(sol)
-    q = Quasipolynomial(period, tuple(tuple(p) for p in parts))
+        # Newton's forward differences on r, r + period, ...: the value at
+        # r + j * period is the sum of diff_i * C(j, i), and C(j, i) with
+        # j = (t - r) / period is the polynomial basis[i] in t.
+        diffs = values[r : r + period * (degree + 1) : period]
+        coeffs = [Fraction(0)] * (degree + 1)
+        basis = [Fraction(1)]
+        for i in range(degree + 1):
+            for j, b in enumerate(basis):
+                coeffs[j] += diffs[0] * b
+            diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+            c, scale = r + i * period, (i + 1) * period
+            basis = [(lo - c * hi) / scale for lo, hi in zip([0, *basis], [*basis, 0])]
+        parts.append(tuple(coeffs))
+    q = Quasipolynomial(period, tuple(parts))
     for k, v in enumerate(values):
         if q.evaluate(k) != v:
             raise ValueError(

@@ -10,7 +10,7 @@ same graphs.
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from magiclab import (
     Graph,
@@ -19,11 +19,13 @@ from magiclab import (
     count_magic_k,
     enumerate_magic_bounded,
     is_magic,
+    path_graph,
     perfect_matchings,
+    polytope_dimension,
     polytope_vertices,
 )
 from magiclab.labelings import _labelings
-from test_geometry import brute_vertices
+from test_geometry import brute_vertices, rref
 from test_graphs import brute_perfect_matchings
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -103,15 +105,28 @@ def test_perfect_matchings_match_brute_force(g):
         )
 
 
+def affine_rank(points):
+    """Dimension of the affine hull of ``points``; -1 when there are none."""
+    if not points:
+        return -1
+    first = points[0]
+    diffs = [[a - b for a, b in zip(p, first)] for p in points[1:]]
+    return len(rref(diffs, len(first))[1])
+
+
 # Graphs on which a ray pair passes the zero-count bound without being
-# adjacent first show up after about 180 examples.
+# adjacent first show up after about 180 examples.  The graph with no
+# vertices and one with an empty Q polytope always run.
 @settings(SETTINGS, max_examples=300)
 @given(small_graphs())
+@example(Graph((), ()))
+@example(path_graph(3))
 def test_vertices_match_the_subset_scan(g):
     for kind in "PQ":
         want = brute_vertices(g, kind)  # None past 2,000 subsets
         if want is not None:
             assert polytope_vertices(g, kind) == want
+            assert polytope_dimension(g, kind) == affine_rank(want)
 
 
 # The counting DP against the search it replaced for counting; the graph

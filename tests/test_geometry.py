@@ -1,4 +1,8 @@
-"""Exact linear algebra and polytope vertex enumeration."""
+"""Polytope vertex enumeration, denominators and dimensions.
+
+The oracles here reduce rows over fractions, independently of the
+integer double description under test.
+"""
 
 from fractions import Fraction
 from itertools import combinations
@@ -17,18 +21,14 @@ from magiclab import (
     is_magic,
     li_matching,
     lstar,
-    magic_constraints,
     make_gn,
     make_gnp,
-    matrix_rank,
     path_graph,
     point_denominator,
     polytope_denominator,
     polytope_dimension,
     polytope_vertices,
-    solve_rational,
 )
-from magiclab.geometry import _affine_solution_space
 from magiclab.verification import bridged_blocks, corpus
 
 F = Fraction
@@ -40,25 +40,71 @@ def frac_point(*values):
     return tuple(F(v) for v in values)
 
 
+def rref(rows, ncols):
+    """Reduced row echelon form over fractions of the first ``ncols`` columns.
+
+    Returns ``(rows, pivots)``: the reduced rows and the pivot column of
+    each of the first ``len(pivots)`` rows; the later rows are zero in
+    the first ``ncols`` columns.
+    """
+    work = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(work)) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[top], work[piv] = work[piv], work[top]
+        lead = work[top][col]
+        work[top] = [x / lead for x in work[top]]
+        for r in range(len(work)):
+            f = work[r][col]
+            if r != top and f:
+                work[r] = [x - f * y for x, y in zip(work[r], work[top])]
+        pivots.append(col)
+    return work, pivots
+
+
+def magic_equalities(g, kind):
+    """Vertex-sum equations, each row its edge coefficients then its rhs.
+
+    P: every later vertex sum equals the first one's.  Q: every vertex
+    sum equals 1.
+    """
+    m = len(g.edges)
+    sums = [[int(e in g.incidence[v]) for e in range(m)] for v in g.vertices]
+    if kind == "P":
+        return [[a - b for a, b in zip(row, sums[0])] + [0] for row in sums[1:]]
+    return [row + [1] for row in sums]
+
+
 def brute_vertices(g, kind, limit=SCAN_LIMIT):
     """Vertices by the subset scan, or None past ``limit`` subsets.
 
-    Every bound is a halfspace in the residual coordinates of the
-    equality system, with parallel copies merged; each subset of
-    dimension-many halfspaces is set active and solved exactly, and a
-    solution is kept when its point meets every bound in edge
-    coordinates.
+    The equality system is solved as x0 + basis . u, and every bound
+    becomes a halfspace in the residual coordinates u, with parallel
+    copies merged; each subset of dimension-many halfspaces is set
+    active and solved exactly, and a solution is kept when its point
+    meets every bound in edge coordinates.
     """
-    desc = magic_constraints(g, kind)
-    par = _affine_solution_space(desc)
-    if par is None:
+    m, box = len(g.edges), kind == "P"
+    aug, pivots = rref(magic_equalities(g, kind), m)
+    if any(row[m] for row in aug[len(pivots) :]):
         return []
-    x0, basis = par
-    d, m = len(basis), desc.num_coords
+    x0 = [F(0)] * m
+    for row, col in zip(aug, pivots):
+        x0[col] = row[m]
+    basis = []
+    for free in (c for c in range(m) if c not in pivots):
+        vec = [F(int(e == free)) for e in range(m)]
+        for row, col in zip(aug, pivots):
+            vec[col] = -row[free]
+        basis.append(vec)
+    d = len(basis)
     halfspaces = {}
     for e in range(m):
         row = [basis[j][e] for j in range(d)]
-        for sign, bound in [(-1, x0[e])] + ([(1, 1 - x0[e])] if desc.box else []):
+        for sign, bound in [(-1, x0[e])] + ([(1, 1 - x0[e])] if box else []):
             lead = next((abs(c) for c in row if c), None)
             if lead is not None:
                 halfspaces[tuple(sign * c / lead for c in row), bound / lead] = None
@@ -66,53 +112,15 @@ def brute_vertices(g, kind, limit=SCAN_LIMIT):
         return None
     found = set()
     for subset in combinations(halfspaces, d):
-        u = solve_rational([cs for cs, _ in subset], [b for _, b in subset])
-        if u is None:
+        solved, active = rref([list(cs) + [b] for cs, b in subset], d)
+        if len(active) < d:
             continue
         pt = tuple(
-            x0[e] + sum(basis[j][e] * u[j] for j in range(d)) for e in range(m)
+            x0[e] + sum(basis[j][e] * solved[j][d] for j in range(d)) for e in range(m)
         )
-        if all(x >= 0 and (not desc.box or x <= 1) for x in pt):
+        if all(x >= 0 and (not box or x <= 1) for x in pt):
             found.add(pt)
     return sorted(found)
-
-
-class TestSolveRational:
-    def test_identity(self):
-        assert solve_rational([[1, 0], [0, 1]], [3, 5]) == (F(3), F(5))
-
-    def test_singular_returns_none(self):
-        assert solve_rational([[1, 2], [2, 4]], [1, 2]) is None
-
-    def test_hand_eliminated_system(self):
-        assert solve_rational([[2, 1], [1, 1]], [3, 2]) == (F(1), F(1))
-
-    def test_fraction_result(self):
-        assert solve_rational([[2]], [1]) == (F(1, 2),)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_rational([[1, 2]], [1])
-
-
-class TestMagicConstraints:
-    def test_two_loops_p_has_no_rows(self):
-        desc = magic_constraints(bouquet(2), "P")
-        assert desc.rows == () and desc.box
-
-    def test_two_loops_q_single_row(self):
-        desc = magic_constraints(bouquet(2), "Q")
-        assert desc.rows == ((F(1), F(1)),)
-        assert desc.rhs == (F(1),)
-        assert not desc.box
-
-    def test_g2_p_row_count(self):
-        desc = magic_constraints(make_gn(2), "P")
-        assert len(desc.rows) == 5 and desc.num_coords == 6
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            magic_constraints(make_gn(2), "R")
 
 
 class TestVertices:
@@ -179,26 +187,29 @@ class TestVertices:
 
     def test_vertices_satisfy_constraints(self):
         for g in [make_gn(3), cycle_graph(5), bouquet(2), bridged_blocks()]:
-            desc = magic_constraints(g, "P")
+            eqs = magic_equalities(g, "P")
             for v in polytope_vertices(g, "P"):
-                for row, rhs in zip(desc.rows, desc.rhs):
-                    assert sum(c * x for c, x in zip(row, v)) == rhs
+                for row in eqs:
+                    assert sum(c * x for c, x in zip(row, v)) == row[-1]
                 assert all(0 <= x <= 1 for x in v)
 
     def test_each_vertex_has_full_active_rank(self):
         # dropping a true vertex would change the hull: check the active
         # constraints at every reported vertex span the full edge space
         for g in [make_gn(3), cycle_graph(6), bouquet(2)]:
-            desc = magic_constraints(g, "P")
             m = len(g.edges)
+            eqs = [row[:m] for row in magic_equalities(g, "P")]
             for v in polytope_vertices(g, "P"):
-                rows = [list(row) for row in desc.rows]
-                for e, x in enumerate(v):
-                    if x == 0 or x == 1:
-                        unit = [F(0)] * m
-                        unit[e] = F(1)
-                        rows.append(unit)
-                assert matrix_rank(rows) == m
+                active = [
+                    [int(e == f) for f in range(m)]
+                    for e, x in enumerate(v)
+                    if x in (0, 1)
+                ]
+                assert len(rref(eqs + active, m)[1]) == m
+
+    def test_bad_kind(self):
+        with pytest.raises(ValueError):
+            polytope_vertices(make_gn(2), "R")
 
     def test_scaled_vertices_are_magic(self):
         for g in [make_gn(3), make_gn(4), cycle_graph(5), bouquet(2)]:
@@ -208,14 +219,14 @@ class TestVertices:
                 assert is_magic(lab) is not None
 
     def test_exact_minimal_budget(self):
-        # gn(4)/P takes 103 pair tests in all.
+        # gn(4)/P takes 36 pair tests in all.
         g = make_gn(4)
         with pytest.raises(BudgetExceededError) as err:
-            polytope_vertices(g, "P", budget=102)
-        assert (err.value.phase, err.value.consumed) == ("vertex enumeration", 103)
+            polytope_vertices(g, "P", budget=35)
+        assert (err.value.phase, err.value.consumed) == ("vertex enumeration", 36)
         assert "vertex enumeration" in str(err.value)
         assert "pair tests" in str(err.value)
-        assert len(polytope_vertices(g, "P", budget=103)) == 6
+        assert len(polytope_vertices(g, "P", budget=36)) == 6
 
     @pytest.mark.parametrize(
         "name, kind",
@@ -317,8 +328,8 @@ class TestFactsCache:
         g = make_gn(4)
         assert len(polytope_vertices(g, "P")) == 6
         with pytest.raises(BudgetExceededError) as err:
-            polytope_vertices(g, "P", budget=102)
-        assert (err.value.phase, err.value.consumed) == ("vertex enumeration", 103)
+            polytope_vertices(g, "P", budget=35)
+        assert (err.value.phase, err.value.consumed) == ("vertex enumeration", 36)
 
     def test_returned_list_is_a_copy(self):
         g = make_gn(3)
@@ -328,11 +339,3 @@ class TestFactsCache:
         first.append(frac_point(7))
         assert polytope_vertices(g, "P") == expected
 
-
-def test_matrix_rank_basics():
-    assert matrix_rank([]) == 0
-    assert matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert matrix_rank([[1, 0], [0, 1]]) == 2
-    assert matrix_rank([[0, 0], [0, 0]]) == 0
-    assert matrix_rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
-    assert matrix_rank(iter([[0, 1], [1, 0], [1, 1]])) == 2

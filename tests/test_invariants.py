@@ -3,7 +3,8 @@
 No computational path may use floating point: every module under
 ``src/magiclab`` is parsed and searched for float literals, any use of
 the name ``float`` (calls included) and the floating-point functions of
-``math``.
+``math``.  The vertex enumeration's double description and the rank of
+its rays run on integers alone and never name ``Fraction``.
 """
 
 import ast
@@ -54,3 +55,32 @@ def test_no_floating_point(path):
 )
 def test_detector_catches(source):
     assert float_uses(ast.parse(source))
+
+
+INTEGER_ONLY = ("_primitive", "_combine", "_rank", "_extreme_rays")
+
+
+def fraction_uses(tree: ast.AST, names) -> list[str]:
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in names:
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Name) and node.id == "Fraction") or (
+                    isinstance(node, ast.Attribute) and node.attr == "Fraction"
+                ):
+                    found.append(f"{fn.name}, line {node.lineno}")
+    return found
+
+
+def test_double_description_is_integer_only():
+    path = Path(magiclab.__file__).parent / "geometry.py"
+    tree = ast.parse(path.read_text(), str(path))
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert defined >= set(INTEGER_ONLY)
+    assert fraction_uses(tree, INTEGER_ONLY) == []
+
+
+def test_fraction_detector_catches():
+    source = "def _rank(rows):\n    return fractions.Fraction(len(rows))"
+    assert fraction_uses(ast.parse(source), INTEGER_ONLY)
+    assert fraction_uses(ast.parse("def _combine():\n    Fraction"), INTEGER_ONLY)

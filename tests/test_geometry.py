@@ -29,6 +29,7 @@ from magiclab import (
     polytope_dimension,
     polytope_vertices,
 )
+from magiclab.geometry import _rank
 from magiclab.verification import bridged_blocks, corpus
 
 F = Fraction
@@ -121,6 +122,46 @@ def brute_vertices(g, kind, limit=SCAN_LIMIT):
         if all(x >= 0 and (not box or x <= 1) for x in pt):
             found.add(pt)
     return sorted(found)
+
+
+class TestRref:
+    # The oracles are only as good as their row reduction.
+    def test_identity(self):
+        assert rref([[1, 0, 3], [0, 1, 5]], 2) == ([[1, 0, 3], [0, 1, 5]], [0, 1])
+
+    def test_singular_has_one_pivot(self):
+        rows, pivots = rref([[1, 2, 1], [2, 4, 2]], 2)
+        assert pivots == [0] and rows[1] == [0, 0, 0]
+
+    def test_hand_eliminated_system(self):
+        assert rref([[2, 1, 3], [1, 1, 2]], 2) == ([[1, 0, 1], [0, 1, 1]], [0, 1])
+
+    def test_fraction_result(self):
+        assert rref([[2, 1]], 1) == ([[F(1), F(1, 2)]], [0])
+
+
+class TestMagicEqualities:
+    def test_two_loops_p_has_no_rows(self):
+        assert magic_equalities(bouquet(2), "P") == []
+
+    def test_two_loops_q_single_row(self):
+        assert magic_equalities(bouquet(2), "Q") == [[1, 1, 1]]
+
+    def test_g2_p_row_count(self):
+        g = make_gn(2)
+        eqs = magic_equalities(g, "P")
+        assert len(eqs) == len(g.vertices) - 1 == 5
+        assert all(len(row) == len(g.edges) + 1 == 7 for row in eqs)
+
+
+def test_integer_rank_basics():
+    assert _rank([]) == 0
+    assert _rank([[1, 2], [2, 4]]) == 1
+    assert _rank([[1, 0], [0, 1]]) == 2
+    assert _rank([[0, 0], [0, 0]]) == 0
+    assert _rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+    assert _rank(iter([[0, 1], [1, 0], [1, 1]])) == 2
+    assert _rank([[6, 10, 15], [10, 15, 6], [15, 6, 10]]) == 3
 
 
 class TestVertices:

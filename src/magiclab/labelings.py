@@ -121,24 +121,35 @@ def _assignment_order(g: Graph) -> list[int]:
     return order
 
 
-def _labelings(g: Graph, caps, indices, budget):
+def _labelings(g: Graph, caps, indices, budget, floors=None):
     """Exact search over labelings whose vertex sums all equal one target.
 
     Targets are taken in turn from ``indices``, or are every index the
-    caps allow when it is None.  ``caps`` bounds each edge label.  Each
-    solution yields the internal label buffer (in coordinate order), so
-    callers must copy it.  ``budget`` caps the label values offered over
-    the whole search, counted per position before any value is tried.
+    bounds allow when it is None.  Each edge label lies between
+    ``floors`` (zero when None) and ``caps``.  Each solution yields the
+    internal label buffer (in coordinate order), so callers must copy it.
+    ``budget`` caps the label values offered over the whole search,
+    counted per position before any value is tried.
 
     The edges are assigned in ``_assignment_order`` with an explicit stack:
     ``top[t]`` is the largest value position t may take, and the current
-    value lives in the buffer itself.
+    value lives in the buffer itself.  Floors are a shift: the buffer
+    holds offsets above them, each vertex sum starts at its floors' sum,
+    and the floors are added back to each solution on output.
     """
+    base = [0] * len(g.vertices)
+    if floors is not None:
+        if any(f > c for f, c in zip(floors, caps)):
+            return
+        caps = [c - f for c, f in zip(caps, floors)]
+        base = [sum(floors[ei] for ei in g.incidence[v]) for v in g.vertices]
     vidx = {v: i for i, v in enumerate(g.vertices)}
     capacity = [sum(caps[ei] for ei in g.incidence[v]) for v in g.vertices]
-    # No vertex sum can exceed the total cap of its incident edges, so the
-    # smallest vertex capacity bounds every feasible index.
-    least = min(capacity, default=0)
+    # No vertex sum can exceed its floors plus the total cap of its
+    # incident edges, or fall below its floors, which bounds every
+    # feasible index from both sides.
+    least = min((b + c for b, c in zip(base, capacity)), default=0)
+    lowest = max(base, default=0)
     endpoints = []
     for ei in _assignment_order(g):
         u, w = g.edges[ei]
@@ -149,9 +160,9 @@ def _labelings(g: Graph, caps, indices, budget):
     top = [0] * m
     nodes = 0
     for target in range(least + 1) if indices is None else indices:
-        if not 0 <= target <= least:
+        if not lowest <= target <= least:
             continue
-        sums = [0] * len(g.vertices)
+        sums = base[:]
         caprem = capacity[:]
         t = 0
         while t >= 0:
@@ -178,7 +189,9 @@ def _labelings(g: Graph, caps, indices, budget):
                     sums[vi] += lo
                 t += 1
             else:
-                yield labels
+                yield labels if floors is None else [
+                    x + f for x, f in zip(labels, floors)
+                ]
             # Back up to the deepest position with a value left to try.
             t -= 1
             while t >= 0:
@@ -197,8 +210,11 @@ def _labelings(g: Graph, caps, indices, budget):
                 t -= 1
 
 
-def _collect(g: Graph, caps, indices, budget) -> list[Labeling]:
-    return [Labeling(g, tuple(buf)) for buf in _labelings(g, caps, indices, budget)]
+def _collect(g: Graph, caps, indices, budget, floors=None) -> list[Labeling]:
+    return [
+        Labeling(g, tuple(buf))
+        for buf in _labelings(g, caps, indices, budget, floors)
+    ]
 
 
 def _count_plan(g: Graph, caps, capacity):
@@ -234,17 +250,35 @@ def _count_plan(g: Graph, caps, capacity):
     return plan
 
 
+@dataclass
+class SharedBudget:
+    """One cap on the state transitions of several counts together.
+
+    Pass the same instance as ``budget`` to each ``count_magic_k`` or
+    ``count_index_k`` call of a run: each call adds its transitions to
+    ``used`` and raises at the first one over ``cap``, counted across
+    the calls.
+    """
+
+    cap: int
+    used: int = 0
+
+
 def _count(g: Graph, caps, indices, budget) -> int:
     # Frontier (transfer-matrix) DP, one pass per target: the number of
     # labelings the search _labelings would yield, without visiting each.
     # Every edge label is bounded as in the search; an edge that closes a
     # vertex has no capacity left there, so its label is forced to the
     # target minus the vertex's sum.  ``budget`` caps the state
-    # transitions, one per (state, label value), over all targets.
+    # transitions, one per (state, label value), over all targets; a
+    # SharedBudget starts from, and adds to, the transitions already used.
     capacity = [sum(caps[ei] for ei in g.incidence[v]) for v in g.vertices]
     least = min(capacity, default=0)
     plan = _count_plan(g, caps, capacity)
     total = used = 0
+    shared = budget if isinstance(budget, SharedBudget) else None
+    if shared is not None:
+        budget, used = shared.cap, shared.used
     for target in range(least + 1) if indices is None else indices:
         if not 0 <= target <= least:
             continue
@@ -282,6 +316,8 @@ def _count(g: Graph, caps, indices, budget) -> int:
             states = nxt
         # Every vertex has closed, so the only state left is ().
         total += states.get((), 0)
+    if shared is not None:
+        shared.used = used
     return total
 
 
@@ -309,7 +345,8 @@ def count_magic_k(g: Graph, k: int, *, budget: int | None = None) -> int:
     Counted by a frontier (transfer-matrix) dynamic program over the
     edges, one pass per candidate index, without visiting each labeling.
     ``budget`` caps the state transitions: one per (state, label value)
-    tried, summed over every index.
+    tried, summed over every index.  A ``SharedBudget`` in its place
+    caps this count together with every other count it is passed to.
     """
     caps = _uniform_caps(g, k)
     return _count(g, caps, None, budget)
@@ -327,19 +364,36 @@ def enumerate_index_k(g: Graph, k: int, *, budget: int | None = None) -> list[La
 def count_index_k(g: Graph, k: int, *, budget: int | None = None) -> int:
     """Number of magic labelings with index exactly k.
 
-    One pass of the dynamic program of ``count_magic_k``, with its budget.
+    One pass of the dynamic program of ``count_magic_k``, with its budget
+    (an int or a ``SharedBudget``).
     """
     return _count(g, _uniform_caps(g, k), (k,), budget)
 
 
-def enumerate_magic_bounded(g: Graph, caps, *, budget: int | None = None) -> list[Labeling]:
-    """All magic labelings with per-edge label bounds ``caps``."""
-    caps = _as_ints(caps, "caps")
-    if len(caps) != len(g.edges):
-        raise ValueError("caps length must equal the edge count")
-    if any(c < 0 for c in caps):
-        raise ValueError("caps must be nonnegative")
-    return _collect(g, caps, None, budget)
+def _edge_bounds(g: Graph, values, what: str) -> tuple[int, ...]:
+    values = _as_ints(values, what)
+    if len(values) != len(g.edges):
+        raise ValueError(f"{what} length must equal the edge count")
+    if any(c < 0 for c in values):
+        raise ValueError(f"{what} must be nonnegative")
+    return values
+
+
+def enumerate_magic_bounded(
+    g: Graph, caps, *, floors=None, budget: int | None = None
+) -> list[Labeling]:
+    """All magic labelings with floors[e] <= label[e] <= caps[e] per edge.
+
+    ``floors`` defaults to all zeros; a floor above its cap leaves
+    nothing to enumerate.  The floors shift the search rather than
+    filter it: labels are searched as offsets above the floors, so no
+    labeling below them is visited.  ``budget`` caps the label values
+    the search offers, as for ``enumerate_magic_k``.
+    """
+    caps = _edge_bounds(g, caps, "caps")
+    if floors is not None:
+        floors = _edge_bounds(g, floors, "floors")
+    return _collect(g, caps, None, budget, floors)
 
 
 def labeling_to_json(lab: Labeling) -> str:

@@ -225,13 +225,16 @@ def ehrhart_of_polytope(
     affine rank the degree; counts for k = 0 .. period*(degree+2)-1 come
     from the counting dynamic program of ``labelings.count_magic_k`` (or
     ``count_index_k`` for Q), and the validated fit is returned with its
-    period minimized.  ``budget`` caps both the vertex-enumeration pair
-    tests and the state transitions of each count; ``None`` means
-    ``geometry.DEFAULT_VERTEX_BUDGET`` pair tests and no transition cap.
+    period minimized.  ``budget`` caps the vertex-enumeration pair tests
+    and, separately, the state transitions of all the counts together
+    (one ``labelings.SharedBudget``), so it bounds the sweep's total
+    work; ``None`` means ``geometry.DEFAULT_VERTEX_BUDGET`` pair tests
+    and no transition cap.
     """
     vertex_budget = geometry.DEFAULT_VERTEX_BUDGET if budget is None else budget
     den = geometry.polytope_denominator(g, kind, budget=vertex_budget)
     dim = geometry.polytope_dimension(g, kind, budget=vertex_budget)
     count = labelings.count_magic_k if kind == "P" else labelings.count_index_k
-    values = [count(g, k, budget=budget) for k in range(den * (dim + 2))]
+    shared = None if budget is None else labelings.SharedBudget(budget)
+    values = [count(g, k, budget=shared) for k in range(den * (dim + 2))]
     return fit_quasipolynomial(values, den, dim).normalized()

@@ -18,10 +18,12 @@ from .errors import BudgetExceededError, ConsistencyError
 from .graphs import Edge, Graph, forced_max_edge, is_bipartite
 from .labelings import (
     Labeling,
+    _collect,
     enumerate_index_k,
     enumerate_magic_bounded,
     is_magic,
     max_label,
+    vertex_sum,
 )
 
 
@@ -110,10 +112,18 @@ def verify_completely_fundamental(
     """Independent oracle for complete fundamentality, bounded by ``m_max``.
 
     For each m up to m_max, every decomposition b + c = m * elem inside
-    the semigroup is enumerated (the coordinates of b are dominated by
-    those of m * elem, so there are finitely many).  A b that is not a
-    nonnegative multiple of elem refutes; otherwise the element is
-    unrefuted up to m_max.
+    the semigroup is enumerated.  A b that is not a nonnegative multiple
+    of elem refutes; otherwise the element is unrefuted up to m_max.
+
+    Only the labelings b that have a valid height are searched.  Write
+    total = m * elem and H = m * elem.height.  For kind "P" a height h
+    of b needs max(b) <= h and max(c) <= H - h, so each h = 0 .. H is
+    one box, max(0, total_e - (H - h)) <= b_e <= min(total_e, h), which
+    ``enumerate_magic_bounded`` searches with those floors and caps;
+    witnesses are found in order of m, then of the height of b.  For
+    kind "Q" the one box is b <= total and the height of b is its index.
+    ``budget`` caps the search nodes of each box's search separately:
+    one search per (m, h) box for "P", one per m for "Q".
     """
     validate_element(g, kind, elem)
     if m_max < 1:
@@ -123,16 +133,22 @@ def verify_completely_fundamental(
     for m in range(1, m_max + 1):
         total = [m * x for x in elem.labeling.labels]
         total_h = m * elem.height
-        for b_lab in enumerate_magic_bounded(g, total, budget=budget):
-            c_labels = tuple(t - x for t, x in zip(total, b_lab.labels))
-            if kind == "P":
-                lo, hi = max_label(b_lab), total_h - max(c_labels, default=0)
-                heights = range(lo, hi + 1)
-            else:
-                idx = is_magic(b_lab)
-                heights = [idx] if idx <= total_h else []
-            for h_b in heights:
+        if kind == "P":
+            boxes = [
+                (
+                    h,
+                    [min(t, h) for t in total],
+                    [max(0, t - (total_h - h)) for t in total],
+                )
+                for h in range(total_h + 1)
+            ]
+        else:
+            boxes = [(None, total, None)]
+        for h, caps, floors in boxes:
+            for b_lab in enumerate_magic_bounded(g, caps, floors=floors, budget=budget):
+                h_b = is_magic(b_lab) if h is None else h
                 if not _is_multiple(b_lab.labels, h_b, elem):
+                    c_labels = tuple(t - x for t, x in zip(total, b_lab.labels))
                     return CFVerdict(
                         refuted=True,
                         m_max=m_max,
@@ -188,12 +204,14 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
 
     Pieces sum to the input entrywise.  On bipartite graphs every piece
     has index exactly 1 (it is then a perfect-matching indicator).  The
-    zero labeling decomposes into the empty list.  Search is a full
+    zero labeling decomposes into the empty list.  Candidate pieces are
+    the magic labelings below min(lab, 2) at the allowed indices only:
+    1, and also 2 when the graph is not bipartite.  Search is a full
     backtracking extraction, so a greedy dead end cannot cause a bogus
     failure; an actual failure is a ConsistencyError because such a
     decomposition always exists.  ``budget`` caps the search nodes of
-    the enumeration of candidate pieces and, separately, the number of
-    candidate pieces the extraction tries.
+    the candidate search at the allowed indices and, separately, the
+    number of candidate pieces the extraction tries.
     """
     idx = is_magic(lab)
     if idx is None:
@@ -203,11 +221,9 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     g = lab.graph
     allowed = (1,) if is_bipartite(g) is not None else (1, 2)
     caps = [min(x, 2) for x in lab.labels]
-    pool = [
-        (p_idx, p)
-        for p in enumerate_magic_bounded(g, caps, budget=budget)
-        if (p_idx := is_magic(p)) in allowed
-    ]
+    # idx >= 1, so every vertex has an edge and one vertex sum is the index.
+    first = g.vertices[0]
+    pool = [(vertex_sum(p, first), p) for p in _collect(g, caps, allowed, budget)]
     pool.sort(key=lambda entry: (entry[0], entry[1].labels))
     pieces = _extract(pool, lab.labels, idx, budget)
     if pieces is None:

@@ -250,14 +250,14 @@ def check_gnp_count_invariance() -> str | None:
 
 
 def check_cf_element_oracle() -> str | None:
-    targets = [(f"g{n}", make_gn(n)) for n in range(2, 5)]
+    targets = [(f"g{n}", make_gn(n)) for n in range(2, 7)]
     targets.append(("two_loops", bouquet(2)))
     for name, g in targets:
         for elem in semigroups.cf_elements(g, "P"):
             verdict = semigroups.verify_completely_fundamental(g, "P", elem, 3)
             if verdict.refuted:
                 return f"{name}: element {elem.labeling.labels} refuted"
-    for n in range(2, 5):
+    for n in range(2, 7):
         g = make_gn(n)
         bad = semigroups.SemigroupElement(lstar(n), n)
         verdict = semigroups.verify_completely_fundamental(g, "P", bad, 1)

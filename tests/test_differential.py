@@ -1,8 +1,9 @@
 """Randomised differential tests against brute force.
 
-The labeling search is checked against filtered label cubes, the
-vertex enumeration against the subset scan and the counting DP against
-the labeling search.  Graphs are small (at most 5 vertices and 7 edges
+The labeling search is checked against filtered label cubes, its floors
+against filtering, the vertex enumeration against the subset scan, the
+counting DP against the labeling search and the height-box CF oracle
+against a full enumeration of every decomposition.  Graphs are small (at most 5 vertices and 7 edges
 where a label cube is filtered in full) with loops, parallel loops and
 isolated vertices.  Examples are derandomised, so each run tries the
 same graphs.
@@ -10,21 +11,27 @@ same graphs.
 
 import itertools
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from magiclab import (
+    CFVerdict,
     Graph,
     Labeling,
+    SemigroupElement,
     count_index_k,
     count_magic_k,
     enumerate_magic_bounded,
+    enumerate_magic_k,
     is_magic,
+    max_label,
     path_graph,
     perfect_matchings,
     polytope_dimension,
     polytope_vertices,
+    verify_completely_fundamental,
 )
 from magiclab.labelings import _labelings
+from magiclab.semigroups import _is_multiple, validate_element
 from test_geometry import brute_vertices, rref
 from test_graphs import brute_perfect_matchings
 
@@ -48,9 +55,9 @@ def small_graphs(draw):
 
 
 @st.composite
-def loop_graphs(draw):
+def loop_graphs(draw, max_vertices=7):
     """Up to 7 vertices, 9 distinct links and 2 loops per vertex."""
-    n = draw(st.integers(0, 7))
+    n = draw(st.integers(0, max_vertices))
     vs = tuple(f"v{i}" for i in range(n))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     links = []
@@ -67,6 +74,17 @@ def graphs_with_caps(draw):
     g = draw(small_graphs())
     m = len(g.edges)
     return g, draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+
+
+@st.composite
+def graphs_with_bounds(draw):
+    """Caps with floors: all at most their caps, or one just above."""
+    g, caps = draw(graphs_with_caps())
+    floors = [draw(st.integers(0, c)) for c in caps]
+    if caps and draw(st.booleans()):
+        e = draw(st.integers(0, len(caps) - 1))
+        floors[e] = caps[e] + 1
+    return g, caps, floors
 
 
 def brute_indices(g, caps):
@@ -86,6 +104,23 @@ def test_bounded_enumeration_matches_brute_force(gc):
     found = [lab.labels for lab in enumerate_magic_bounded(g, caps)]
     assert len(found) == len(set(found))
     assert set(found) == set(brute_indices(g, caps))
+
+
+@SETTINGS
+@given(graphs_with_bounds())
+@example((Graph((), ()), [], []))
+def test_floors_filter_the_bounded_enumeration(gcf):
+    g, caps, floors = gcf
+    found = [lab.labels for lab in enumerate_magic_bounded(g, caps, floors=floors)]
+    want = [
+        lab.labels
+        for lab in enumerate_magic_bounded(g, caps)
+        if all(x >= f for x, f in zip(lab.labels, floors))
+    ]
+    assert len(found) == len(set(found))
+    assert set(found) == set(want)
+    if any(f > c for f, c in zip(floors, caps)):
+        assert found == []
 
 
 @SETTINGS
@@ -140,3 +175,66 @@ def test_counts_match_the_labeling_search(g, k):
     caps = [k] * len(g.edges)
     assert count_magic_k(g, k) == sum(1 for _ in _labelings(g, caps, None, None))
     assert count_index_k(g, k) == sum(1 for _ in _labelings(g, caps, (k,), None))
+
+
+def full_oracle(g, kind, elem, m_max):
+    """The CF oracle before height boxes: every magic b <= m * elem, and
+    for kind P every height from max(b) to m * height - max(c)."""
+    validate_element(g, kind, elem)
+    for m in range(1, m_max + 1):
+        total = [m * x for x in elem.labeling.labels]
+        total_h = m * elem.height
+        for b_lab in enumerate_magic_bounded(g, total):
+            c_labels = tuple(t - x for t, x in zip(total, b_lab.labels))
+            if kind == "P":
+                lo, hi = max_label(b_lab), total_h - max(c_labels, default=0)
+                heights = range(lo, hi + 1)
+            else:
+                idx = is_magic(b_lab)
+                heights = [idx] if idx <= total_h else []
+            for h_b in heights:
+                if not _is_multiple(b_lab.labels, h_b, elem):
+                    return CFVerdict(
+                        refuted=True,
+                        m_max=m_max,
+                        m=m,
+                        b=SemigroupElement(b_lab, h_b),
+                        c=SemigroupElement(Labeling(g, c_labels), total_h - h_b),
+                    )
+    return CFVerdict(refuted=False, m_max=m_max)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A semigroup element on a loop graph with at most 4 vertices: a
+    magic labeling with labels at most 2, at its index for Q and at its
+    maximum label plus a slack of 0-2 for P."""
+    g = draw(loop_graphs(max_vertices=4))
+    kind = draw(st.sampled_from("PQ"))
+    lab = draw(st.sampled_from(enumerate_magic_k(g, 2)))
+    if kind == "P":
+        height = max_label(lab) + draw(st.integers(0, 2))
+    else:
+        height = is_magic(lab)
+    assume(height or any(lab.labels))  # the zero element is rejected
+    return g, kind, SemigroupElement(lab, height), draw(st.integers(1, 3))
+
+
+# The boxes search each (m, height of b) on its own, so a witness is now
+# the first in height order and may differ from the full oracle's, which
+# went in label order; the verdict and m may not.
+@SETTINGS
+@given(oracle_cases())
+def test_height_boxes_match_the_full_oracle(case):
+    g, kind, elem, m_max = case
+    want = full_oracle(g, kind, elem, m_max)
+    got = verify_completely_fundamental(g, kind, elem, m_max)
+    assert (got.refuted, got.m) == (want.refuted, want.m)
+    if got.refuted:
+        validate_element(g, kind, got.b)
+        validate_element(g, kind, got.c)
+        assert [x + y for x, y in zip(got.b.labeling.labels, got.c.labeling.labels)] == [
+            got.m * x for x in elem.labeling.labels
+        ]
+        assert got.b.height + got.c.height == got.m * elem.height
+        assert not _is_multiple(got.b.labeling.labels, got.b.height, elem)

@@ -28,6 +28,7 @@ from magiclab import (
     path_graph,
     vertex_sum,
 )
+from magiclab.labelings import SharedBudget
 
 
 def brute_magic_k(g, k):
@@ -317,6 +318,31 @@ class TestBoundedEnumeration:
         with pytest.raises(ValueError):
             count_magic_k(make_gn(2), 1.5)
 
+    @pytest.mark.parametrize(
+        "floors, message",
+        [
+            ([0, 0, 0, 0, 0, -1], "floors must be nonnegative"),
+            ([0.0] * 6, "floors must be integers"),
+            ([1] * 6 + [0], "floors length must equal the edge count"),
+            ([1, 1], "floors length must equal the edge count"),
+        ],
+    )
+    def test_bad_floors_rejected(self, floors, message):
+        with pytest.raises(ValueError, match=message):
+            enumerate_magic_bounded(make_gn(2), [2] * 6, floors=floors)
+
+    def test_floors_are_lower_bounds(self):
+        # lstar(3) is the only magic labeling of gn(3) at or above itself
+        # within its own caps, and a floor above a cap leaves nothing.
+        lab = lstar(3)
+        assert enumerate_magic_bounded(make_gn(3), lab.labels, floors=lab.labels) == [lab]
+        caps = [2] * 9
+        assert enumerate_magic_bounded(make_gn(3), caps, floors=[3] + [0] * 8) == []
+
+    def test_floors_on_the_graph_with_no_vertices(self):
+        g = Graph((), ())
+        assert enumerate_magic_bounded(g, [], floors=[]) == [Labeling(g, ())]
+
 
 class TestBudget:
     def test_enumeration_budget(self):
@@ -354,6 +380,16 @@ class TestBudget:
         assert err.value.phase == "search" and err.value.budget == 10
         assert err.value.consumed > 10
         assert str(err.value).startswith("search exceeded the budget of 10 nodes")
+
+    def test_shared_budget_sums_over_calls(self):
+        # 275 + 96 transitions, the two exact budgets above.
+        shared = SharedBudget(371)
+        assert count_magic_k(make_gn(4), 3, budget=shared) == 36
+        assert count_index_k(make_gn(4), 3, budget=shared) == 20
+        assert shared.used == 371
+        with pytest.raises(BudgetExceededError) as err:
+            count_index_k(make_gn(4), 3, budget=SharedBudget(370, used=275))
+        assert (err.value.consumed, err.value.budget) == (371, 370)
 
     def test_exact_budget_bounded(self):
         assert len(enumerate_magic_bounded(bouquet(2), [2, 3], budget=24)) == 12

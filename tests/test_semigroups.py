@@ -164,6 +164,24 @@ class TestFundamentalityOracle:
         with pytest.raises(ValueError):
             verify_completely_fundamental(make_gn(2), "P", zero_element(make_gn(2), 0), 1)
 
+    def test_exact_minimal_budget(self):
+        # The budget caps each (m, h) box's search on its own; the largest
+        # box search for lstar(3) at height 2 up to m = 3 offers 24 label
+        # values.
+        g = make_gn(3)
+        elem = SemigroupElement(lstar(3), 2)
+        assert not verify_completely_fundamental(g, "P", elem, 3, budget=24).refuted
+        with pytest.raises(BudgetExceededError) as err:
+            verify_completely_fundamental(g, "P", elem, 3, budget=23)
+        assert (err.value.phase, err.value.consumed, err.value.budget) == ("search", 24, 23)
+
+    def test_gn8_lstar_is_searched_by_height(self):
+        # The magic b <= m * lstar(8), m <= 4, number 462,978; only 14 of
+        # them lie in a height box, so the search takes milliseconds.
+        g = make_gn(8)
+        verdict = verify_completely_fundamental(g, "P", SemigroupElement(lstar(8), 7), 4)
+        assert not verdict.refuted
+
 
 class TestDecomposeOverGenerators:
     def test_documented_combination(self):

@@ -75,16 +75,13 @@ def _cmd_series(args) -> int:
     if args.kmax < 0:
         raise ValueError("kmax must be nonnegative")
     g = _load_graph(args.graph)
-    budget = _budget(args)
+    magic, index = labelings.count_series(g, args.kmax, budget=_budget(args))
     columns = ("k", "magic_count")
-    counters = [labelings.count_magic_k]
+    series = [magic]
     if args.with_index:
         columns += ("index_count",)
-        counters.append(labelings.count_index_k)
-    rows = [
-        (k, *(str(count(g, k, budget=budget)) for count in counters))
-        for k in range(args.kmax + 1)
-    ]
+        series.append(index)
+    rows = [(k, *map(str, counts)) for k, counts in enumerate(zip(*series))]
     _emit(args.format, columns, rows, lambda row: "\t".join(map(str, row)))
     return EXIT_OK
 
@@ -262,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help, formats=table, *, graph=True, polytope=False):
         # Every subcommand that reads a graph searches it, so --graph
         # brings --budget along.
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, description=help)
         p.set_defaults(func=func)
         if graph:
             p.add_argument("--graph", required=True, help="path to a graph JSON file")
@@ -282,7 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("count", _cmd_count, "count magic labelings with labels <= k")
     p.add_argument("-k", type=int, required=True)
 
-    p = add("series", _cmd_series, "count series for k = 0..kmax")
+    p = add(
+        "series",
+        _cmd_series,
+        "count series for k = 0..kmax; --budget caps the state transitions "
+        "of the whole sweep, not of each count",
+    )
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument(
         "--with-index",

@@ -137,7 +137,9 @@ def _enumerate_vertices(g: Graph, kind: str, budget: int) -> list[tuple[int, ...
     if kind == "P":
         eqs = [[a - b for a, b in zip(row, sums[0])] for row in sums[1:]]
     else:
-        eqs = [[-1] + row[1:] for row in sums]
+        # A graph with no vertex has no edge either, and its index is 0
+        # (the convention of labelings.is_magic): Q is empty, as t = 0.
+        eqs = [[-1] + row[1:] for row in sums] or [[1]]
     rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     if kind == "P":
         rows += [tuple((j == 0) - (j == e) for j in range(n)) for e in range(1, n)]

@@ -223,18 +223,22 @@ def ehrhart_of_polytope(
 
     The vertex denominators fix the fitting period and the vertex set's
     affine rank the degree; counts for k = 0 .. period*(degree+2)-1 come
-    from the counting dynamic program of ``labelings.count_magic_k`` (or
-    ``count_index_k`` for Q), and the validated fit is returned with its
-    period minimized.  ``budget`` caps the vertex-enumeration pair tests
-    and, separately, the state transitions of all the counts together
-    (one ``labelings.SharedBudget``), so it bounds the sweep's total
-    work; ``None`` means ``geometry.DEFAULT_VERTEX_BUDGET`` pair tests
-    and no transition cap.
+    from the counting dynamic program, by one ``labelings.count_series``
+    sweep for P (each pass at an index up to k runs once, not once per
+    k) or by ``count_index_k`` per k for Q, and the validated fit is
+    returned with its period minimized.  ``budget`` caps the
+    vertex-enumeration pair tests and, separately, the state transitions
+    of all the counts together (one ``labelings.SharedBudget``), so it
+    bounds the sweep's total work; ``None`` means
+    ``geometry.DEFAULT_VERTEX_BUDGET`` pair tests and no transition cap.
     """
     vertex_budget = geometry.DEFAULT_VERTEX_BUDGET if budget is None else budget
     den = geometry.polytope_denominator(g, kind, budget=vertex_budget)
     dim = geometry.polytope_dimension(g, kind, budget=vertex_budget)
-    count = labelings.count_magic_k if kind == "P" else labelings.count_index_k
     shared = None if budget is None else labelings.SharedBudget(budget)
-    values = [count(g, k, budget=shared) for k in range(den * (dim + 2))]
+    samples = den * (dim + 2)
+    if kind == "P":
+        values = labelings.count_series(g, samples - 1, budget=shared)[0]
+    else:
+        values = [labelings.count_index_k(g, k, budget=shared) for k in range(samples)]
     return fit_quasipolynomial(values, den, dim).normalized()

@@ -133,6 +133,20 @@ class TestSeries:
         assert [line.split(",")[1] for line in lines] == ["1", "1", "1", "1"]
 
 
+    def test_budget_caps_the_whole_sweep(self, g4_path, capsys):
+        # One budget over every pass of the sweep: 311 state transitions for
+        # k = 0..3 on gn(4); four separate count_magic_k calls take 471.
+        argv = ["series", "--graph", g4_path, "--kmax", "3", "--with-index"]
+        assert main(argv + ["--budget", "310"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: counting exceeded the budget of 310 state transitions (reached 311)"
+        )
+        assert main(argv + ["--budget", "311"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "3\t36\t20"
+
+
 class TestEhrhart:
     def test_g4_json(self, g4_path, capsys):
         assert main(["ehrhart", "--graph", g4_path, "--format", "json"]) == 0
@@ -192,7 +206,28 @@ class TestEhrhart:
         assert err.value.code == 2
 
 
+    def test_q_of_the_graph_with_no_vertices_is_empty(self, tmp_path, capsys):
+        # Its only labeling has index 0, so nothing has index 1: Q is empty
+        # in the geometry as in the counts.
+        path = tmp_path / "empty.json"
+        path.write_text('{"vertices":[],"edges":[]}')
+        assert main(["ehrhart", "--graph", str(path), "--polytope", "Q"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "polytope is empty" in captured.err
+        assert main(["ehrhart", "--graph", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["constituents"] == [["1"]]
+
+
 class TestVertices:
+    def test_q_of_the_graph_with_no_vertices(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"vertices":[],"edges":[]}')
+        argv = ["vertices", "--graph", str(path), "--format", "json"]
+        assert main(argv + ["--polytope", "Q"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == [[]]
+
     def test_q_segment(self, g2_path, capsys):
         assert main(["vertices", "--graph", g2_path, "--polytope", "Q", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)

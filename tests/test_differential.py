@@ -20,6 +20,7 @@ from magiclab import (
     SemigroupElement,
     count_index_k,
     count_magic_k,
+    count_series,
     enumerate_magic_bounded,
     enumerate_magic_k,
     is_magic,
@@ -175,6 +176,19 @@ def test_counts_match_the_labeling_search(g, k):
     caps = [k] * len(g.edges)
     assert count_magic_k(g, k) == sum(1 for _ in _labelings(g, caps, None, None))
     assert count_index_k(g, k) == sum(1 for _ in _labelings(g, caps, (k,), None))
+
+
+# The sweep's magic counts are prefix sums of its index counts plus the
+# passes the cap binds; each k must still give the per-k counts.
+@SETTINGS
+@given(
+    st.one_of(st.just(Graph((), ())), st.just(Graph(("a", "b"), ())), loop_graphs()),
+    st.integers(0, 5),
+)
+def test_count_series_matches_the_per_k_counts(g, kmax):
+    magic, index = count_series(g, kmax)
+    assert magic == [count_magic_k(g, k) for k in range(kmax + 1)]
+    assert index == [count_index_k(g, k) for k in range(kmax + 1)]
 
 
 def full_oracle(g, kind, elem, m_max):

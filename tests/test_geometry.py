@@ -70,13 +70,13 @@ def magic_equalities(g, kind):
     """Vertex-sum equations, each row its edge coefficients then its rhs.
 
     P: every later vertex sum equals the first one's.  Q: every vertex
-    sum equals 1.
+    sum equals 1; with no vertex the index is 0, so Q asks 0 = 1.
     """
     m = len(g.edges)
     sums = [[int(e in g.incidence[v]) for e in range(m)] for v in g.vertices]
     if kind == "P":
         return [[a - b for a, b in zip(row, sums[0])] + [0] for row in sums[1:]]
-    return [row + [1] for row in sums]
+    return [row + [1] for row in sums] or [[0] * m + [1]]
 
 
 def brute_vertices(g, kind, limit=SCAN_LIMIT):

@@ -14,6 +14,7 @@ from magiclab import (
     cycle_graph,
     count_index_k,
     count_magic_k,
+    count_series,
     enumerate_index_k,
     enumerate_magic_bounded,
     enumerate_magic_k,
@@ -28,7 +29,7 @@ from magiclab import (
     path_graph,
     vertex_sum,
 )
-from magiclab.labelings import SharedBudget
+from magiclab.labelings import SharedBudget, _assignment_order
 
 
 def brute_magic_k(g, k):
@@ -224,6 +225,29 @@ class TestCountMagicK:
             count_magic_k(make_gn(2), -1)
 
 
+class TestCountSeries:
+    def test_gn_matches_the_closed_form(self):
+        for n in range(2, 6):
+            magic, index = count_series(make_gn(n), 12)
+            assert magic == [closed_form_mn(n, k) for k in range(13)]
+            assert index == [count_index_k(make_gn(n), k) for k in range(13)]
+
+    @pytest.mark.parametrize("kmax", [-1, 2.0])
+    def test_bad_kmax_rejected(self, kmax):
+        with pytest.raises(ValueError, match="kmax"):
+            count_series(make_gn(2), kmax)
+
+    def test_shared_budget_counts_every_pass(self):
+        # 311 transitions for k = 0..3 on gn(4): each index pass once, plus
+        # the passes the cap binds; per-k count_magic_k calls take 471.
+        shared = SharedBudget(10**6)
+        assert count_series(make_gn(4), 3, budget=shared)[0] == [1, 5, 15, 36]
+        assert shared.used == 311
+        for k in range(4):
+            count_magic_k(make_gn(4), k, budget=shared)
+        assert shared.used == 311 + 471
+
+
 class TestEnumerateIndexK:
     def test_g2_index1_is_the_two_matchings(self):
         got = sorted(lab.labels for lab in enumerate_index_k(make_gn(2), 1))
@@ -395,6 +419,12 @@ class TestBudget:
         assert len(enumerate_magic_bounded(bouquet(2), [2, 3], budget=24)) == 12
         with pytest.raises(BudgetExceededError):
             enumerate_magic_bounded(bouquet(2), [2, 3], budget=23)
+
+
+def test_assignment_order_is_memoised_per_graph():
+    order = _assignment_order(make_gn(5))
+    assert isinstance(order, tuple) and sorted(order) == list(range(15))
+    assert _assignment_order(make_gn(5)) is order
 
 
 class TestDeepGraphs:

@@ -302,10 +302,11 @@ class TestEhrhart:
             match="counting exceeded the budget of 36 state transitions",
         ):
             ehrhart_of_polytope(make_gn(4), budget=36)
-        # The 18 counts share one budget: 87,609 transitions in all, though
-        # the largest single count takes 16,794.
-        assert ehrhart_of_polytope(make_gn(4), budget=87609).minimum_quasiperiod() == 3
-        for budget, reached in ((87608, 87609), (16794, 16801)):
+        # The 18 counts share one budget: 44,973 transitions in all, though
+        # the largest step of the sweep (k = 17: the index pass at 17 and
+        # the passes at 18..34 that the cap binds) takes 8,430.
+        assert ehrhart_of_polytope(make_gn(4), budget=44973).minimum_quasiperiod() == 3
+        for budget, reached in ((44972, 44973), (8430, 8431)):
             with pytest.raises(BudgetExceededError) as err:
                 ehrhart_of_polytope(make_gn(4), budget=budget)
             assert (err.value.phase, err.value.consumed) == ("counting", reached)

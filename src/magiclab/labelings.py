@@ -124,7 +124,35 @@ def _assignment_order(g: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _labelings(g: Graph, caps, indices, budget, floors=None):
+def _steps(g: Graph, caps):
+    """The per-edge plan of the search and of the counting DP.
+
+    Returns each vertex's capacity (the total cap of its incident edges)
+    and, for each edge in ``_assignment_order``, ``(edge, cap, ends)``
+    with one ``(vertex, capacity left after this edge)`` pair per end.
+    No vertex sum can grow past what its edges still to come allow, so
+    the capacity left bounds a label from below.
+    """
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    # Walked backwards, the capacity left after an edge is what its ends
+    # have gathered so far, and the totals are the capacities.
+    capacity = [0] * len(g.vertices)
+    steps = []
+    for ei in reversed(_assignment_order(g)):
+        u, w = g.edges[ei]
+        cap = caps[ei]
+        ui, wi = vidx[u], vidx[w]
+        if ui == wi:
+            steps.append((ei, cap, ((ui, capacity[ui]),)))
+        else:
+            steps.append((ei, cap, ((ui, capacity[ui]), (wi, capacity[wi]))))
+            capacity[wi] += cap
+        capacity[ui] += cap
+    steps.reverse()
+    return capacity, steps
+
+
+def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
     """Exact search over labelings whose vertex sums all equal one target.
 
     Targets are taken in turn from ``indices``, or are every index the
@@ -134,11 +162,11 @@ def _labelings(g: Graph, caps, indices, budget, floors=None):
     ``budget`` caps the label values offered over the whole search,
     counted per position before any value is tried.
 
-    The edges are assigned in ``_assignment_order`` with an explicit stack:
-    ``top[t]`` is the largest value position t may take, and the current
-    value lives in the buffer itself.  Floors are a shift: the buffer
-    holds offsets above them, each vertex sum starts at its floors' sum,
-    and the floors are added back to each solution on output.
+    The edges are assigned in the order of ``_steps`` with an explicit
+    stack: ``top[t]`` is the largest value position t may take, and the
+    current value lives in the buffer itself.  Floors are a shift: the
+    buffer holds offsets above them, each vertex sum starts at its
+    floors' sum, and the floors are added back to each solution on output.
     """
     base = [0] * len(g.vertices)
     if floors is not None:
@@ -146,19 +174,13 @@ def _labelings(g: Graph, caps, indices, budget, floors=None):
             return
         caps = [c - f for c, f in zip(caps, floors)]
         base = [sum(floors[ei] for ei in g.incidence[v]) for v in g.vertices]
-    vidx = {v: i for i, v in enumerate(g.vertices)}
-    capacity = [sum(caps[ei] for ei in g.incidence[v]) for v in g.vertices]
+    capacity, steps = _steps(g, caps)
     # No vertex sum can exceed its floors plus the total cap of its
     # incident edges, or fall below its floors, which bounds every
     # feasible index from both sides.
     least = min((b + c for b, c in zip(base, capacity)), default=0)
     lowest = max(base, default=0)
-    endpoints = []
-    for ei in _assignment_order(g):
-        u, w = g.edges[ei]
-        ui, wi = vidx[u], vidx[w]
-        endpoints.append((ei, caps[ei], (ui,) if ui == wi else (ui, wi)))
-    m = len(endpoints)
+    m = len(steps)
     labels = [0] * m
     top = [0] * m
     nodes = 0
@@ -166,14 +188,12 @@ def _labelings(g: Graph, caps, indices, budget, floors=None):
         if not lowest <= target <= least:
             continue
         sums = base[:]
-        caprem = capacity[:]
         t = 0
         while t >= 0:
             while t < m:
-                ei, cap_e, ends = endpoints[t]
+                ei, cap_e, ends = steps[t]
                 lo, hi = 0, cap_e
-                for vi in ends:
-                    after = caprem[vi] - cap_e
+                for vi, after in ends:
                     need = target - sums[vi]
                     if need - after > lo:
                         lo = need - after
@@ -187,8 +207,7 @@ def _labelings(g: Graph, caps, indices, budget, floors=None):
                         raise BudgetExceededError.over("search", "nodes", budget, nodes)
                 labels[ei] = lo
                 top[t] = hi
-                for vi in ends:
-                    caprem[vi] -= cap_e
+                for vi, _after in ends:
                     sums[vi] += lo
                 t += 1
             else:
@@ -198,50 +217,40 @@ def _labelings(g: Graph, caps, indices, budget, floors=None):
             # Back up to the deepest position with a value left to try.
             t -= 1
             while t >= 0:
-                ei, cap_e, ends = endpoints[t]
+                ei, _cap_e, ends = steps[t]
                 val = labels[ei]
                 if val < top[t]:
                     labels[ei] = val + 1
-                    for vi in ends:
+                    for vi, _after in ends:
                         sums[vi] += 1
                     t += 1
                     break
                 labels[ei] = 0
-                for vi in ends:
-                    caprem[vi] += cap_e
+                for vi, _after in ends:
                     sums[vi] -= val
                 t -= 1
 
 
-def _collect(g: Graph, caps, indices, budget, floors=None) -> list[Labeling]:
+def _collect(g: Graph, caps, indices, budget: int | None, floors=None) -> list[Labeling]:
     return [
         Labeling(g, tuple(buf))
         for buf in _labelings(g, caps, indices, budget, floors)
     ]
 
 
-def _count_plan(g: Graph, caps, capacity):
-    # One step per edge in _assignment_order.  The DP state is the tuple
-    # of partial sums of the open vertices (touched, not yet closed) in
-    # the order they opened.  A step holds the edge's cap, the zeros that
-    # open its new ends, a (state position, capacity left after this edge)
-    # pair per end, and a picker that drops the ends the edge closes.
-    vidx = {v: i for i, v in enumerate(g.vertices)}
-    steps = []
-    for ei in _assignment_order(g):
-        u, w = g.edges[ei]
-        steps.append((ei, (vidx[u],) if u == w else (vidx[u], vidx[w])))
-    last = {vi: t for t, (_, ends) in enumerate(steps) for vi in ends}
-    caprem = list(capacity)
+def _count_plan(steps):
+    # The DP state is the tuple of partial sums of the open vertices
+    # (touched, not yet closed) in the order they opened.  Each step of
+    # _steps becomes the edge's cap, the zeros that open its new ends, a
+    # (state position, capacity left after this edge) pair per end, and a
+    # picker that drops the ends the edge closes.
+    last = {vi: t for t, (_, _, ends) in enumerate(steps) for vi, _ in ends}
     frontier: list[int] = []
     plan = []
-    for t, (ei, ends) in enumerate(steps):
-        fresh = [vi for vi in ends if vi not in frontier]
+    for t, (_, cap, ends) in enumerate(steps):
+        fresh = [vi for vi, _ in ends if vi not in frontier]
         frontier += fresh
-        bounds = []
-        for vi in ends:
-            caprem[vi] -= caps[ei]
-            bounds.append((frontier.index(vi), caprem[vi]))
+        bounds = tuple((frontier.index(vi), after) for vi, after in ends)
         keep = [p for p, vi in enumerate(frontier) if last[vi] != t]
         frontier = [frontier[p] for p in keep]
         if len(keep) > 1:
@@ -249,26 +258,13 @@ def _count_plan(g: Graph, caps, capacity):
         else:
             # itemgetter returns a bare item for one index and fails on none.
             pick = lambda s, keep=keep: tuple(s[p] for p in keep)
-        plan.append((caps[ei], (0,) * len(fresh), tuple(bounds), pick))
+        plan.append((cap, (0,) * len(fresh), bounds, pick))
     return plan
 
 
-@dataclass
-class SharedBudget:
-    """One cap on the state transitions of several counts together.
-
-    Pass the same instance as ``budget`` to each ``count_magic_k``,
-    ``count_index_k`` or ``count_series`` call of a run: each call adds
-    its transitions to ``used`` and raises at the first one over
-    ``cap``, counted across the calls.  ``count_series`` wraps an int
-    budget in one of these, so its passes share that cap.
-    """
-
-    cap: int
-    used: int = 0
-
-
-def _count(g: Graph, caps, first: int, last: int | None, budget) -> list[int]:
+def _count(
+    g: Graph, caps, first: int, last: int | None, budget: int | None, used: int = 0
+) -> tuple[list[int], int]:
     # Frontier (transfer-matrix) DP, one pass per target from first to
     # last (to the least vertex capacity when None, as no larger target is
     # feasible): the number of labelings of each target that the search
@@ -276,16 +272,12 @@ def _count(g: Graph, caps, first: int, last: int | None, budget) -> list[int]:
     # bounded as in the search; an edge that closes a vertex has no
     # capacity left there, so its label is forced to the target minus the
     # vertex's sum.  ``budget`` caps the state transitions, one per
-    # (state, label value), over all targets; a SharedBudget starts from,
-    # and adds to, the transitions already used.
-    capacity = [sum(caps[ei] for ei in g.incidence[v]) for v in g.vertices]
+    # (state, label value), counted on from the ``used`` of earlier
+    # passes; returns the counts and the transitions used by then.
+    capacity, steps = _steps(g, caps)
     least = min(capacity, default=0)
-    plan = _count_plan(g, caps, capacity)
+    plan = _count_plan(steps)
     counts = []
-    used = 0
-    shared = budget if isinstance(budget, SharedBudget) else None
-    if shared is not None:
-        budget, used = shared.cap, shared.used
     top = least if last is None else min(last, least)
     for target in range(first, top + 1):
         states = {(): 1}
@@ -322,13 +314,11 @@ def _count(g: Graph, caps, first: int, last: int | None, budget) -> list[int]:
             states = nxt
         # Every vertex has closed, so the only state left is ().
         counts.append(states.get((), 0))
-    if shared is not None:
-        shared.used = used
-    return counts
+    return counts, used
 
 
 def count_series(
-    g: Graph, kmax: int, *, budget: int | SharedBudget | None = None
+    g: Graph, kmax: int, *, budget: int | None = None
 ) -> tuple[list[int], list[int]]:
     """``count_magic_k`` and ``count_index_k`` for every k = 0..kmax.
 
@@ -339,21 +329,19 @@ def count_series(
     once, and for each k only the passes at the targets above k, which
     the cap does bind: the magic count is the sum of the index counts up
     to k plus those.  On the Ehrhart sweeps of gn(4..7) that is 39-51%
-    of the transitions of one ``count_magic_k`` per k.  ``budget`` caps the state transitions
-    of every pass together: an int becomes one ``SharedBudget`` over
-    the sweep, and a ``SharedBudget`` adds them to its count.
+    of the transitions of one ``count_magic_k`` per k.  ``budget`` caps
+    the state transitions of every pass of the sweep together.
     """
     (kmax,) = _as_ints((kmax,), "kmax")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    if budget is not None and not isinstance(budget, SharedBudget):
-        budget = SharedBudget(budget)
     magic, index = [], []
-    below = 0
+    below = used = 0
     for k in range(kmax + 1):
         # Target k at cap k is count_index_k(g, k); the rest are binding.
         # No target runs when k exceeds every vertex capacity.
-        counts = _count(g, [k] * len(g.edges), k, None, budget) or [0]
+        counts, used = _count(g, [k] * len(g.edges), k, None, budget, used)
+        counts = counts or [0]
         index.append(counts[0])
         below += counts[0]
         magic.append(below + sum(counts[1:]))
@@ -384,13 +372,12 @@ def count_magic_k(g: Graph, k: int, *, budget: int | None = None) -> int:
     Counted by a frontier (transfer-matrix) dynamic program over the
     edges, one pass per candidate index, without visiting each labeling.
     ``budget`` caps the state transitions: one per (state, label value)
-    tried, summed over every index.  A ``SharedBudget`` in its place
-    caps this count together with every other count it is passed to.
+    tried, summed over every index.
     For every k up to some kmax, ``count_series`` gives the same counts
     and runs each pass at an index up to k only once.
     """
     caps = _uniform_caps(g, k)
-    return sum(_count(g, caps, 0, None, budget))
+    return sum(_count(g, caps, 0, None, budget)[0])
 
 
 def enumerate_index_k(g: Graph, k: int, *, budget: int | None = None) -> list[Labeling]:
@@ -405,10 +392,9 @@ def enumerate_index_k(g: Graph, k: int, *, budget: int | None = None) -> list[La
 def count_index_k(g: Graph, k: int, *, budget: int | None = None) -> int:
     """Number of magic labelings with index exactly k.
 
-    One pass of the dynamic program of ``count_magic_k``, with its budget
-    (an int or a ``SharedBudget``).
+    One pass of the dynamic program of ``count_magic_k``, with its budget.
     """
-    return sum(_count(g, _uniform_caps(g, k), k, k, budget))
+    return sum(_count(g, _uniform_caps(g, k), k, k, budget)[0])
 
 
 def _edge_bounds(g: Graph, values, what: str) -> tuple[int, ...]:

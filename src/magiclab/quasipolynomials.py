@@ -106,10 +106,6 @@ class Quasipolynomial:
         """Largest constituent degree; -1 for the zero quasipolynomial."""
         return max(len(c) for c in self.constituents) - 1
 
-    def coefficient(self, residue: int, i: int) -> Fraction:
-        c = self.constituents[residue % self.period]
-        return c[i] if i < len(c) else Fraction(0)
-
     def evaluate(self, t: int) -> Fraction:
         return _eval_poly(self.constituents[t % self.period], t)
 
@@ -222,23 +218,26 @@ def ehrhart_of_polytope(
     """Lattice-point counting quasipolynomial of the magic polytope.
 
     The vertex denominators fix the fitting period and the vertex set's
-    affine rank the degree; counts for k = 0 .. period*(degree+2)-1 come
-    from the counting dynamic program, by one ``labelings.count_series``
-    sweep for P (each pass at an index up to k runs once, not once per
-    k) or by ``count_index_k`` per k for Q, and the validated fit is
-    returned with its period minimized.  ``budget`` caps the
-    vertex-enumeration pair tests and, separately, the state transitions
-    of all the counts together (one ``labelings.SharedBudget``), so it
-    bounds the sweep's total work; ``None`` means
-    ``geometry.DEFAULT_VERTEX_BUDGET`` pair tests and no transition cap.
+    affine rank the degree; counts for k = 0 .. K = period*(degree+2)-1
+    come from the counting dynamic program, and the validated fit is
+    returned with its period minimized.  For P they come from one
+    ``labelings.count_series`` sweep (each pass at an index up to k runs
+    once, not once per k).  For Q they come from one DP call at cap K
+    over the targets 0..K: a cap of at least t never binds at target t,
+    so its pass at t is that of ``count_index_k(g, t)``.  ``budget`` caps
+    the vertex-enumeration pair tests and, separately, the state
+    transitions of all the counts together, so it bounds the sweep's
+    total work; ``None`` means ``geometry.DEFAULT_VERTEX_BUDGET`` pair
+    tests and no transition cap.
     """
     vertex_budget = geometry.DEFAULT_VERTEX_BUDGET if budget is None else budget
     den = geometry.polytope_denominator(g, kind, budget=vertex_budget)
     dim = geometry.polytope_dimension(g, kind, budget=vertex_budget)
-    shared = None if budget is None else labelings.SharedBudget(budget)
-    samples = den * (dim + 2)
+    top = den * (dim + 2) - 1
     if kind == "P":
-        values = labelings.count_series(g, samples - 1, budget=shared)[0]
+        values = labelings.count_series(g, top, budget=budget)[0]
     else:
-        values = [labelings.count_index_k(g, k, budget=shared) for k in range(samples)]
+        # No target above the least vertex capacity runs; those count 0.
+        values = labelings._count(g, [top] * len(g.edges), 0, top, budget)[0]
+        values += [0] * (top + 1 - len(values))
     return fit_quasipolynomial(values, den, dim).normalized()

@@ -165,9 +165,10 @@ def decompose_over_generators(
     """Nonnegative integer combination of ``generators`` equal to ``elem``.
 
     Labels and heights must both match.  Search is depth first over
-    generators sorted by descending height, pruning any generator not
-    coordinate-dominated by the remainder.  Returns a Counter of
-    generators, or None when no combination exists.
+    generators sorted by descending height, with an explicit stack of
+    (remainder, count) per generator; each count runs from the most the
+    remainder allows down to 0.  Returns a Counter of generators, or
+    None when no combination exists.
     """
     gens = sorted(
         generators, key=lambda e: (e.height, e.labeling.labels), reverse=True
@@ -175,28 +176,29 @@ def decompose_over_generators(
     for gen in gens:
         if gen.labeling.graph != elem.labeling.graph:
             raise ValueError("generators must live on the element's graph")
-    target = list(elem.labeling.labels) + [elem.height]
     vecs = [list(gen.labeling.labels) + [gen.height] for gen in gens]
-
-    def search(rem: list[int], gi: int) -> Counter | None:
-        if not any(rem):
-            return Counter()
-        if gi == len(vecs):
-            return None
-        vec = vecs[gi]
-        top = min(
-            (r // v for r, v in zip(rem, vec) if v > 0), default=0
-        )
-        for count in range(top, -1, -1):
-            nxt = [r - count * v for r, v in zip(rem, vec)]
-            sub = search(nxt, gi + 1)
-            if sub is not None:
-                if count:
-                    sub[gens[gi]] = count
-                return sub
-        return None
-
-    return search(target, 0)
+    rem = list(elem.labeling.labels) + [elem.height]
+    stack: list[tuple[list[int], int]] = []
+    while any(rem):
+        if len(stack) < len(vecs):
+            vec = vecs[len(stack)]
+            stack.append((rem, min((r // v for r, v in zip(rem, vec) if v), default=0)))
+        else:
+            # Dead end: one fewer of the deepest generator with a count left.
+            while stack and not stack[-1][1]:
+                stack.pop()
+            if not stack:
+                return None
+            stack[-1] = (stack[-1][0], stack[-1][1] - 1)
+        prev, count = stack[-1]
+        rem = [r - count * v for r, v in zip(prev, vecs[len(stack) - 1])]
+    # Deeper levels are written first, so a generator listed twice keeps
+    # the count of its shallowest listing that uses it.
+    found = Counter()
+    for gen, (_, count) in reversed(list(zip(gens, stack))):
+        if count:
+            found[gen] = count
+    return found
 
 
 def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Labeling]:

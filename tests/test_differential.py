@@ -2,14 +2,16 @@
 
 The labeling search is checked against filtered label cubes, its floors
 against filtering, the vertex enumeration against the subset scan, the
-counting DP against the labeling search and the height-box CF oracle
-against a full enumeration of every decomposition.  Graphs are small (at most 5 vertices and 7 edges
-where a label cube is filtered in full) with loops, parallel loops and
-isolated vertices.  Examples are derandomised, so each run tries the
+counting DP against the labeling search, the height-box CF oracle
+against a full enumeration of every decomposition and the generator
+decomposition's explicit stack against a recursive search.  Graphs are
+small (at most 5 vertices and 7 edges where a label cube is filtered in
+full) with loops, parallel loops and isolated vertices.  Examples are derandomised, so each run tries the
 same graphs.
 """
 
 import itertools
+from collections import Counter
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from magiclab import (
     count_index_k,
     count_magic_k,
     count_series,
+    decompose_over_generators,
     enumerate_magic_bounded,
     enumerate_magic_k,
     is_magic,
@@ -31,7 +34,7 @@ from magiclab import (
     polytope_vertices,
     verify_completely_fundamental,
 )
-from magiclab.labelings import _labelings
+from magiclab.labelings import _count, _labelings
 from magiclab.semigroups import _is_multiple, validate_element
 from test_geometry import brute_vertices, rref
 from test_graphs import brute_perfect_matchings
@@ -189,6 +192,96 @@ def test_count_series_matches_the_per_k_counts(g, kmax):
     magic, index = count_series(g, kmax)
     assert magic == [count_magic_k(g, k) for k in range(kmax + 1)]
     assert index == [count_index_k(g, k) for k in range(kmax + 1)]
+
+
+# Non-uniform caps: the DP's pass at each target against the search at
+# that index and the filtered cube, with no magic labeling above the
+# DP's last target.  Both engines read one step plan, so the cube is
+# what catches a wrong bound in it.
+@SETTINGS
+@given(graphs_with_caps())
+def test_counts_match_the_search_under_any_caps(gc):
+    g, caps = gc
+    counts, _ = _count(g, caps, 0, None, None)
+    brute = Counter(brute_indices(g, caps).values())
+    assert counts == [brute[t] for t in range(len(counts))]
+    assert sum(counts) == sum(brute.values())
+    assert counts == [sum(1 for _ in _labelings(g, caps, (t,), None)) for t in range(len(counts))]
+
+
+# The Q sweep of ehrhart_of_polytope: one call at cap K over the targets
+# 0..K runs the passes of count_index_k(g, k) for k <= K, in that order.
+@SETTINGS
+@given(
+    st.one_of(st.just(Graph((), ())), st.just(Graph(("a", "b"), ())), loop_graphs()),
+    st.integers(0, 5),
+)
+def test_one_call_q_sweep_matches_the_index_counts(g, top):
+    m = len(g.edges)
+    values, used = _count(g, [top] * m, 0, top, None)
+    values += [0] * (top + 1 - len(values))
+    assert values == [count_index_k(g, k) for k in range(top + 1)]
+    assert used == sum(_count(g, [k] * m, k, k, None)[1] for k in range(top + 1))
+
+
+def decompose_recursive(elem, generators):
+    """The generator decomposition as one recursion level per generator."""
+    gens = sorted(
+        generators, key=lambda e: (e.height, e.labeling.labels), reverse=True
+    )
+    vecs = [list(gen.labeling.labels) + [gen.height] for gen in gens]
+
+    def search(rem, gi):
+        if not any(rem):
+            return Counter()
+        if gi == len(vecs):
+            return None
+        vec = vecs[gi]
+        top = min((r // v for r, v in zip(rem, vec) if v > 0), default=0)
+        for count in range(top, -1, -1):
+            sub = search([r - count * v for r, v in zip(rem, vec)], gi + 1)
+            if sub is not None:
+                if count:
+                    sub[gens[gi]] = count
+                return sub
+        return None
+
+    return search(list(elem.labeling.labels) + [elem.height], 0)
+
+
+@st.composite
+def decomposition_cases(draw):
+    """Up to 4 generators with labels and heights 0-2, some listed twice,
+    and an element that is either a combination of them or drawn freely."""
+    g = draw(small_graphs())
+    m = len(g.edges)
+    vec = st.lists(st.integers(0, 2), min_size=m + 1, max_size=m + 1)
+    vecs = draw(st.lists(vec, max_size=4))
+    if vecs:
+        vecs += draw(st.lists(st.sampled_from(vecs), max_size=2))
+    if vecs and draw(st.booleans()):
+        mults = draw(st.lists(st.integers(0, 2), min_size=len(vecs), max_size=len(vecs)))
+        total = [sum(c * v[i] for c, v in zip(mults, vecs)) for i in range(m + 1)]
+    else:
+        total = draw(vec)
+    gens = [SemigroupElement(Labeling(g, v[:m]), v[m]) for v in vecs]
+    return SemigroupElement(Labeling(g, total[:m]), total[m]), gens
+
+
+@SETTINGS
+@given(decomposition_cases())
+@example(
+    (
+        SemigroupElement(Labeling(Graph(("a",), (("a", "a"),)), (2,)), 2),
+        [SemigroupElement(Labeling(Graph(("a",), (("a", "a"),)), (1,)), 1)] * 2,
+    )
+)
+def test_decomposition_matches_the_recursive_search(case):
+    elem, gens = case
+    got, want = decompose_over_generators(elem, gens), decompose_recursive(elem, gens)
+    assert got == want
+    if got is not None:
+        assert list(got.items()) == list(want.items())
 
 
 def full_oracle(g, kind, elem, m_max):

@@ -4,7 +4,8 @@ No computational path may use floating point: every module under
 ``src/magiclab`` is parsed and searched for float literals, any use of
 the name ``float`` (calls included) and the floating-point functions of
 ``math``.  The vertex enumeration's double description and the rank of
-its rays run on integers alone and never name ``Fraction``.
+its rays run on integers alone and never name ``Fraction``.  No function
+calls itself by name, so no input can reach the recursion limit.
 """
 
 import ast
@@ -84,3 +85,44 @@ def test_fraction_detector_catches():
     source = "def _rank(rows):\n    return fractions.Fraction(len(rows))"
     assert fraction_uses(ast.parse(source), INTEGER_ONLY)
     assert fraction_uses(ast.parse("def _combine():\n    Fraction"), INTEGER_ONLY)
+
+
+def self_calls(tree: ast.AST) -> list[str]:
+    """Calls of a function to itself, by name or as ``self``/``cls``."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == fn.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in ("self", "cls")
+                ):
+                    found.append(f"{fn.name}, line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_recursion(path):
+    assert self_calls(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(n):\n    return f(n - 1)",
+        "def outer():\n    def search(i):\n        return search(i + 1)",
+        "class A:\n    def walk(self):\n        self.walk()",
+    ],
+)
+def test_recursion_detector_catches(source):
+    assert self_calls(ast.parse(source))
+
+
+def test_recursion_detector_passes_other_calls():
+    source = "def f(x):\n    return g(x) + x.f() + json.f()\ndef g(x):\n    return f"
+    assert self_calls(ast.parse(source)) == []

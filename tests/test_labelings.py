@@ -29,7 +29,7 @@ from magiclab import (
     path_graph,
     vertex_sum,
 )
-from magiclab.labelings import SharedBudget, _assignment_order
+from magiclab.labelings import _assignment_order
 
 
 def brute_magic_k(g, k):
@@ -237,15 +237,13 @@ class TestCountSeries:
         with pytest.raises(ValueError, match="kmax"):
             count_series(make_gn(2), kmax)
 
-    def test_shared_budget_counts_every_pass(self):
+    def test_exact_budget_counts_every_pass(self):
         # 311 transitions for k = 0..3 on gn(4): each index pass once, plus
         # the passes the cap binds; per-k count_magic_k calls take 471.
-        shared = SharedBudget(10**6)
-        assert count_series(make_gn(4), 3, budget=shared)[0] == [1, 5, 15, 36]
-        assert shared.used == 311
-        for k in range(4):
-            count_magic_k(make_gn(4), k, budget=shared)
-        assert shared.used == 311 + 471
+        assert count_series(make_gn(4), 3, budget=311)[0] == [1, 5, 15, 36]
+        with pytest.raises(BudgetExceededError) as err:
+            count_series(make_gn(4), 3, budget=310)
+        assert (err.value.phase, err.value.consumed) == ("counting", 311)
 
 
 class TestEnumerateIndexK:
@@ -404,16 +402,6 @@ class TestBudget:
         assert err.value.phase == "search" and err.value.budget == 10
         assert err.value.consumed > 10
         assert str(err.value).startswith("search exceeded the budget of 10 nodes")
-
-    def test_shared_budget_sums_over_calls(self):
-        # 275 + 96 transitions, the two exact budgets above.
-        shared = SharedBudget(371)
-        assert count_magic_k(make_gn(4), 3, budget=shared) == 36
-        assert count_index_k(make_gn(4), 3, budget=shared) == 20
-        assert shared.used == 371
-        with pytest.raises(BudgetExceededError) as err:
-            count_index_k(make_gn(4), 3, budget=SharedBudget(370, used=275))
-        assert (err.value.consumed, err.value.budget) == (371, 370)
 
     def test_exact_budget_bounded(self):
         assert len(enumerate_magic_bounded(bouquet(2), [2, 3], budget=24)) == 12

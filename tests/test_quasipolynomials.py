@@ -311,6 +311,20 @@ class TestEhrhart:
                 ehrhart_of_polytope(make_gn(4), budget=budget)
             assert (err.value.phase, err.value.consumed) == ("counting", reached)
 
+    def test_one_budget_caps_the_q_sweep(self):
+        # gn(5)/Q: the passes at targets 0..K take 735 transitions in all.
+        q = ehrhart_of_polytope(make_gn(5), "Q", budget=735)
+        assert [q.evaluate(k) for k in range(4)] == [1, 5, 15, 35]
+        with pytest.raises(BudgetExceededError) as err:
+            ehrhart_of_polytope(make_gn(5), "Q", budget=734)
+        assert (err.value.phase, err.value.consumed) == ("counting", 735)
+
+
+def coefficient(q, residue, i):
+    """Coefficient of t**i in the constituent of ``residue``."""
+    c = q.constituents[residue % q.period]
+    return c[i] if i < len(c) else F(0)
+
 
 class TestCoefficientStructure:
     def test_only_constant_term_varies_for_gn(self):
@@ -318,13 +332,13 @@ class TestCoefficientStructure:
             q = ehrhart_of_polytope(make_gn(n), "P")
             top = max(len(c) for c in q.constituents)
             for i in range(1, top):
-                values = {q.coefficient(r, i) for r in range(q.period)}
+                values = {coefficient(q, r, i) for r in range(q.period)}
                 assert len(values) == 1, f"degree {i} varies for n={n}"
 
 
 class TestPartialSumPeriods:
     def coefficient_period(self, q, i):
-        values = [q.coefficient(r, i) for r in range(q.period)]
+        values = [coefficient(q, r, i) for r in range(q.period)]
         for cand in range(1, q.period + 1):
             if q.period % cand:
                 continue

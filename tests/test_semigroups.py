@@ -209,6 +209,13 @@ class TestDecomposeOverGenerators:
         result = decompose_over_generators(zero_element(g, 2), [zero_element(g, 1)])
         assert list(result.items())[0][1] == 2
 
+    def test_many_generators_do_not_recurse(self):
+        # 1,499 levels: only the last generator, at height 1, fits.
+        lab = Labeling(cycle_graph(4), (1, 1, 1, 1))
+        gens = [SemigroupElement(lab, h) for h in range(1, 1500)]
+        result = decompose_over_generators(SemigroupElement(lab, 1), gens)
+        assert result == Counter({SemigroupElement(lab, 1): 1})
+
     def test_mixed_graphs_rejected(self):
         with pytest.raises(ValueError):
             decompose_over_generators(

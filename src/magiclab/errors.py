@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""The package's own exception type.  Bad input of every kind, a labeling
+``stanley_decompose`` cannot split included, raises ValueError instead."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -38,7 +39,3 @@ class BudgetExceededError(RuntimeError):
             consumed=consumed,
             budget=budget,
         )
-
-
-class ConsistencyError(RuntimeError):
-    """An operation failed in a way the library's invariants rule out."""

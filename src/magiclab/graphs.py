@@ -263,7 +263,10 @@ def graph_from_json(text: str) -> Graph:
 
     Parallel loops are accepted (the permissive ``Graph`` rules apply).
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("graph JSON is nested too deeply") from None
     if not isinstance(data, dict) or set(data) != {"vertices", "edges"}:
         raise ValueError('graph JSON must be {"vertices": [...], "edges": [...]}')
     vertices = data["vertices"]

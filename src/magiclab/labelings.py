@@ -89,14 +89,6 @@ def li_matching(n: int, i: int) -> Labeling:
     return Labeling(g, tuple(labels))
 
 
-def matching_labeling(g: Graph, matching) -> Labeling:
-    """0/1 labeling supported on the given edge indices."""
-    labels = [0] * len(g.edges)
-    for ei in matching:
-        labels[ei] = 1
-    return Labeling(g, tuple(labels))
-
-
 @lru_cache(maxsize=64)
 def _assignment_order(g: Graph) -> tuple[int, ...]:
     # Static DFS order: repeatedly take the unassigned edges of the vertex
@@ -430,7 +422,10 @@ def labeling_to_json(lab: Labeling) -> str:
 
 def labeling_from_json(g: Graph, text: str) -> Labeling:
     """Parse a labeling for g, checking the embedded graph hash."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("labeling JSON is nested too deeply") from None
     if not isinstance(data, dict) or set(data) != {"graph_hash", "labels"}:
         raise ValueError('labeling JSON must be {"graph_hash": ..., "labels": [...]}')
     if data["graph_hash"] != graph_hash(g):

@@ -14,16 +14,15 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import geometry
-from .errors import BudgetExceededError, ConsistencyError
+from .errors import BudgetExceededError
 from .graphs import Edge, Graph, forced_max_edge, is_bipartite
 from .labelings import (
     Labeling,
-    _collect,
+    _labelings,
     enumerate_index_k,
     enumerate_magic_bounded,
     is_magic,
     max_label,
-    vertex_sum,
 )
 
 
@@ -204,16 +203,19 @@ def decompose_over_generators(
 def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Labeling]:
     """Split a magic labeling into magic pieces of index 1 or 2.
 
-    Pieces sum to the input entrywise.  On bipartite graphs every piece
-    has index exactly 1 (it is then a perfect-matching indicator).  The
-    zero labeling decomposes into the empty list.  Candidate pieces are
-    the magic labelings below min(lab, 2) at the allowed indices only:
-    1, and also 2 when the graph is not bipartite.  Search is a full
-    backtracking extraction, so a greedy dead end cannot cause a bogus
-    failure; an actual failure is a ConsistencyError because such a
-    decomposition always exists.  ``budget`` caps the search nodes of
-    the candidate search at the allowed indices and, separately, the
-    number of candidate pieces the extraction tries.
+    Pieces sum to the input entrywise, sorted by labels, with one object
+    per distinct piece.  On bipartite graphs every piece has index 1 (a
+    perfect-matching indicator).  The zero labeling gives the empty
+    list.  Candidates are the magic labelings below min(lab, 2) at index
+    1, and also 2 off bipartite graphs; a full backtracking extraction
+    tries them, so when it finds none, no decomposition exists and
+    ValueError is raised, as for a labeling that is not magic.  That
+    happens: join a hub to one vertex t of each of three triangles t u w
+    and label uw 2, every other edge 1.  The index 3 is odd, and deleting
+    the hub leaves three odd components, so there is no index-1 piece.
+    ``budget`` caps the search nodes of the candidate search at the
+    allowed indices and, separately, the number of candidate pieces the
+    extraction tries.
     """
     idx = is_magic(lab)
     if idx is None:
@@ -224,26 +226,26 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     allowed = (1,) if is_bipartite(g) is not None else (1, 2)
     caps = [min(x, 2) for x in lab.labels]
     # idx >= 1, so every vertex has an edge and one vertex sum is the index.
-    first = g.vertices[0]
-    pool = [(vertex_sum(p, first), p) for p in _collect(g, caps, allowed, budget)]
-    pool.sort(key=lambda entry: (entry[0], entry[1].labels))
+    first = g.incidence[g.vertices[0]]
+    found = map(tuple, _labelings(g, caps, allowed, budget))
+    pool = sorted((sum(map(p.__getitem__, first)), p) for p in found)
     pieces = _extract(pool, lab.labels, idx, budget)
     if pieces is None:
-        raise ConsistencyError(
-            "no decomposition into index-1 and index-2 magic labelings exists; "
-            "this contradicts a guaranteed invariant"
+        raise ValueError(
+            "labeling has no decomposition into magic labelings of index 1 and 2"
         )
-    return sorted(pieces, key=lambda p: p.labels)
+    shared = {p: Labeling(g, p) for p in set(pieces)}
+    return [shared[p] for p in sorted(pieces)]
 
 
-def _extract(pool, labels, idx, budget) -> list[Labeling] | None:
+def _extract(pool, labels, idx, budget) -> list[tuple[int, ...]] | None:
     # Depth first: at each remainder take the first (index, piece) of the
     # pool that fits and whose remainder is not known to be dead.  The
-    # stack holds (remainder, its index, next pool position) for every
-    # remainder on the path, and ``taken`` the pieces used so far.
+    # stack holds (remainder, its index, next pool position) for each
+    # ancestor of the remainder being scanned, so the pieces taken so far
+    # are pool[start - 1] of its frames.
     dead: set[tuple[int, ...]] = set()
     stack = [(labels, idx, 0)]
-    taken: list[Labeling] = []
     tried = 0
     while stack:
         rem, rem_idx, start = stack.pop()
@@ -254,21 +256,18 @@ def _extract(pool, labels, idx, budget) -> list[Labeling] | None:
                     "Stanley extraction", "pieces tried", budget, tried
                 )
             p_idx, piece = pool[i]
-            if p_idx > rem_idx or any(p > r for p, r in zip(piece.labels, rem)):
+            if p_idx > rem_idx or not all(map(operator.le, piece, rem)):
                 continue
             if p_idx == rem_idx:
-                return taken + [piece]
-            nxt = tuple(r - p for r, p in zip(rem, piece.labels))
+                return [pool[s - 1][1] for _, _, s in stack] + [piece]
+            nxt = tuple(map(operator.sub, rem, piece))
             if nxt in dead:
                 continue
             stack.append((rem, rem_idx, i + 1))
             stack.append((nxt, rem_idx - p_idx, 0))
-            taken.append(piece)
             break
         else:
             dead.add(rem)
-            if taken:
-                taken.pop()
     return None
 
 

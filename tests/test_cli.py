@@ -18,6 +18,7 @@ from magiclab import (
     make_gn,
 )
 from magiclab.cli import build_parser, main
+from test_semigroups import hub_labeling
 
 
 @pytest.fixture
@@ -321,6 +322,19 @@ class TestDecompose:
         lpath.write_text(labeling_to_json(lstar(3)))
         assert main(["decompose", "--graph", str(gpath), "--labeling", str(lpath)]) == 2
 
+    def test_undecomposable_labeling_is_a_usage_error(self, tmp_path, capsys):
+        lab = hub_labeling()
+        gpath = tmp_path / "hub.json"
+        gpath.write_text(graph_to_json(lab.graph))
+        lpath = tmp_path / "lab.json"
+        lpath.write_text(labeling_to_json(lab))
+        assert main(["decompose", "--graph", str(gpath), "--labeling", str(lpath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.splitlines() == [
+            "error: labeling has no decomposition into magic labelings of index 1 and 2"
+        ]
+
 
 class TestCheck:
     def test_bridged_blocks_report(self, tmp_path, capsys):
@@ -502,3 +516,20 @@ class TestUsageErrors:
         assert main(["series", "--graph", g2_path, "--kmax", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "kmax" in captured.err
+
+    # The JSON decoder recurses once per nesting level.
+    def test_deeply_nested_graph_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["count", "--graph", str(path), "-k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: graph JSON is nested too deeply"]
+
+    def test_deeply_nested_labeling_file(self, g2_path, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["decompose", "--graph", g2_path, "--labeling", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: labeling JSON is nested too deeply"]

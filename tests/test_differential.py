@@ -3,11 +3,12 @@
 The labeling search is checked against filtered label cubes, its floors
 against filtering, the vertex enumeration against the subset scan, the
 counting DP against the labeling search, the height-box CF oracle
-against a full enumeration of every decomposition and the generator
-decomposition's explicit stack against a recursive search.  Graphs are
-small (at most 5 vertices and 7 edges where a label cube is filtered in
-full) with loops, parallel loops and isolated vertices.  Examples are derandomised, so each run tries the
-same graphs.
+against a full enumeration of every decomposition, the generator
+decomposition's explicit stack against a recursive search, and the
+Stanley extraction's failures against the generator decomposition.
+Graphs are small (at most 5 vertices and 7 edges where a label cube is
+filtered in full) with loops, parallel loops and isolated vertices.
+Examples are derandomised, so each run tries the same graphs.
 """
 
 import itertools
@@ -24,20 +25,24 @@ from magiclab import (
     count_magic_k,
     count_series,
     decompose_over_generators,
+    enumerate_index_k,
     enumerate_magic_bounded,
     enumerate_magic_k,
+    is_bipartite,
     is_magic,
     max_label,
     path_graph,
     perfect_matchings,
     polytope_dimension,
     polytope_vertices,
+    stanley_decompose,
     verify_completely_fundamental,
 )
 from magiclab.labelings import _count, _labelings
 from magiclab.semigroups import _is_multiple, validate_element
 from test_geometry import brute_vertices, rref
 from test_graphs import brute_perfect_matchings
+from test_semigroups import hub_labeling
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
@@ -345,3 +350,41 @@ def test_height_boxes_match_the_full_oracle(case):
         ]
         assert got.b.height + got.c.height == got.m * elem.height
         assert not _is_multiple(got.b.labeling.labels, got.b.height, elem)
+
+
+@st.composite
+def stanley_cases(draw):
+    """A magic labeling of index 1-3 on a loop graph or the hub graph.
+    Index 3 is the least at which a labeling can have no decomposition;
+    at index 4 the loop graphs have too many labelings to draw from."""
+    g = draw(st.one_of(st.just(hub_labeling().graph), loop_graphs()))
+    labs = enumerate_index_k(g, draw(st.integers(1, 3)))
+    assume(labs)
+    return draw(st.sampled_from(labs))
+
+
+# Whether a decomposition exists, decided by the generator decomposition
+# over every allowed piece: the elements (piece, index) of the index
+# semigroup with the piece at most min(lab, 2), of index 1 or 2 (only 1
+# on a bipartite graph).
+@SETTINGS
+@given(stanley_cases())
+@example(hub_labeling())
+def test_stanley_fails_exactly_when_no_decomposition_exists(lab):
+    g = lab.graph
+    allowed = (1,) if is_bipartite(g) is not None else (1, 2)
+    caps = [min(x, 2) for x in lab.labels]
+    gens = [
+        SemigroupElement(p, is_magic(p))
+        for p in enumerate_magic_bounded(g, caps)
+        if is_magic(p) in allowed
+    ]
+    exists = decompose_over_generators(SemigroupElement(lab, is_magic(lab)), gens)
+    try:
+        pieces = stanley_decompose(lab)
+    except ValueError as err:
+        assert "no decomposition" in str(err)
+        assert exists is None
+    else:
+        assert exists is not None
+        assert [sum(col) for col in zip(*(p.labels for p in pieces))] == list(lab.labels)

@@ -5,7 +5,8 @@ No computational path may use floating point: every module under
 the name ``float`` (calls included) and the floating-point functions of
 ``math``.  The vertex enumeration's double description and the rank of
 its rays run on integers alone and never name ``Fraction``.  No function
-calls itself by name, so no input can reach the recursion limit.
+calls itself by name, so no input can reach the recursion limit.  Every
+name the package exports is used by another module or by a test.
 """
 
 import ast
@@ -126,3 +127,37 @@ def test_recursion_detector_catches(source):
 def test_recursion_detector_passes_other_calls():
     source = "def f(x):\n    return g(x) + x.f() + json.f()\ndef g(x):\n    return f"
     assert self_calls(ast.parse(source)) == []
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Names a module reads, bare or as attributes, leaving out each
+    top-level definition's uses of its own name."""
+    used = set()
+    for top in tree.body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        names.discard(getattr(top, "name", None))
+        used |= names
+    return used
+
+
+def unreferenced(exported, sources) -> list[str]:
+    used = set().union(*(used_names(ast.parse(source)) for source in sources))
+    return sorted(set(exported) - used)
+
+
+def test_every_export_is_used():
+    paths = [p for p in MODULES if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    assert unreferenced(magiclab.__all__, [p.read_text() for p in paths]) == []
+
+
+def test_export_detector_catches():
+    source = "def used():\n    return 1\n\ndef dead(n):\n    return dead(n)\n\nx = used()"
+    assert unreferenced(["used", "dead"], [source]) == ["dead"]
+    # A use outside the definition counts wherever it comes.
+    assert unreferenced(["f"], ["g = f\ndef f():\n    return f"]) == []

@@ -6,7 +6,6 @@ import pytest
 
 from magiclab import (
     BudgetExceededError,
-    ConsistencyError,
     Labeling,
     SemigroupElement,
     bouquet,
@@ -41,6 +40,20 @@ def zero_element(g, height=1):
 
 def scaled(lab, factor):
     return Labeling(lab.graph, tuple(factor * x for x in lab.labels))
+
+
+def hub_labeling():
+    """A hub c joined to one vertex t of each of three triangles t u w,
+    labeled 2 on uw and 1 elsewhere: magic of index 3.  Deleting c
+    leaves three odd components, so the graph has no perfect matching,
+    no labeling of index 1, and no sum of index-2 labelings is odd."""
+    vertices, edges, labels = ["c"], [], []
+    for i in range(3):
+        t, u, w = f"t{i}", f"u{i}", f"w{i}"
+        vertices += [t, u, w]
+        edges += [("c", t), (t, u), (t, w), (u, w)]
+        labels += [1, 1, 1, 2]
+    return Labeling(build_graph(vertices, edges), tuple(labels))
 
 
 class TestValidation:
@@ -255,6 +268,22 @@ class TestStanleyDecompose:
         g = make_gn(2)
         with pytest.raises(ValueError):
             stanley_decompose(Labeling(g, (1, 0, 0, 0, 0, 0)))
+
+    def test_undecomposable_labeling_rejected(self):
+        lab = hub_labeling()
+        assert is_magic(lab) == 3
+        assert is_bipartite(lab.graph) is None
+        assert perfect_matchings(lab.graph) == []
+        with pytest.raises(ValueError, match="no decomposition"):
+            stanley_decompose(lab)
+        # Doubled, it is a sum of index-2 pieces.
+        pieces = stanley_decompose(scaled(lab, 2))
+        assert [is_magic(p) for p in pieces] == [2, 2, 2]
+
+    def test_a_repeated_piece_is_one_object(self):
+        pieces = stanley_decompose(scaled(lstar(3), 4))
+        assert len(pieces) == 12
+        assert len({id(p) for p in pieces}) == len({p.labels for p in pieces}) < 12
 
     def test_odd_cycle_uses_index_two_pieces(self):
         g = cycle_graph(3)

@@ -20,13 +20,13 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+DEFAULT_BUDGET = 10**7  # when neither --budget nor MAGIC_BUDGET sets one
+
 
 def _budget(args) -> int:
     budget = args.budget
     if budget is None:
-        raw = os.environ.get("MAGIC_BUDGET")
-        if raw is None:
-            return geometry.DEFAULT_VERTEX_BUDGET
+        raw = os.environ.get("MAGIC_BUDGET", str(DEFAULT_BUDGET))
         try:
             budget = int(raw)
         except ValueError:
@@ -72,8 +72,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.kmax < 0:
-        raise ValueError("kmax must be nonnegative")
     g = _load_graph(args.graph)
     magic, index = labelings.count_series(g, args.kmax, budget=_budget(args))
     columns = ("k", "magic_count")
@@ -181,7 +179,6 @@ def _cmd_decompose(args) -> int:
 def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
     budget = _budget(args)
-    coloring = graphs.is_bipartite(g)
     leaf_list = graphs.leaves(g)
     mprec = graphs.matching_preclusion_class(g)
     cert = semigroups.certify_small_quasiperiod(g, budget=budget)
@@ -189,7 +186,7 @@ def _cmd_check(args) -> int:
     if args.format == "json":
         _print_json(
             {
-                "bipartite": coloring is not None,
+                "bipartite": cert.bipartite,
                 "leaves": [[v, list(e)] for v, e in leaf_list],
                 "matching_preclusion": mprec,
                 "forced_max_edge": list(edge) if edge else None,
@@ -198,7 +195,7 @@ def _cmd_check(args) -> int:
             }
         )
     else:
-        print(f"bipartite: {'yes' if coloring is not None else 'no'}")
+        print(f"bipartite: {'yes' if cert.bipartite else 'no'}")
         print(f"leaves: {', '.join(v for v, _ in leaf_list) or 'none'}")
         print(f"matching preclusion class: {mprec}")
         if cert.vacuous:

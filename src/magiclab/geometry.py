@@ -19,8 +19,6 @@ from operator import mul
 from .errors import BudgetExceededError
 from .graphs import Graph
 
-DEFAULT_VERTEX_BUDGET = 10**7
-
 Point = tuple[Fraction, ...]
 
 _KINDS = ("P", "Q")
@@ -55,33 +53,24 @@ def _rank(rows) -> int:
     return rank
 
 
-def _extreme_rays(eqs, rows, n: int, budget: int) -> list[tuple[int, ...]]:
+def _extreme_rays(eqs, rows, n: int, budget: int | None) -> list[tuple[int, ...]]:
     # Double description of the cone {x in Z^n : eq . x == 0 for every eq,
-    # row . x >= 0 for every row}, adding one row at a time.  The cone so
-    # far is span(lin) + cone(rays), the rays being its extreme rays
-    # modulo span(lin); each ray carries the bitmask of the rows added so
-    # far that vanish on it.
+    # row . x >= 0 for every row}, adding one equation or row at a time.
+    # The cone so far is span(lin) + cone(rays), the rays being its
+    # extreme rays modulo span(lin); each ray carries the bitmask of the
+    # rows added so far that vanish on it.  Equations come first, while
+    # there is no ray, and take no bit.
     lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    for a in eqs:
-        # No ray exists yet, so an equality only cuts the lineality space:
-        # one direction it does not vanish on is dropped and the rest is
-        # projected along it into the hyperplane.
-        k = next((k for k, l in enumerate(lin) if sum(map(mul, a, l))), None)
-        if k is not None:
-            cut = lin.pop(k)
-            s = sum(map(mul, a, cut))
-            lin = [_combine(s, l, -sum(map(mul, a, l)), cut) for l in lin]
-    dim = len(lin)  # of the equations' solution space
     rays: list[tuple[tuple[int, ...], int]] = []
-    used = 0
-    for i, a in enumerate(rows):
-        bit = 1 << i
+    used = cuts = 0  # cuts: the bounds that cut the lineality space
+    for i, a in enumerate([*eqs, *rows], -len(eqs)):
+        bit = 1 << i if i >= 0 else 0
         k = next((k for k, l in enumerate(lin) if sum(map(mul, a, l))), None)
         if k is not None:
             # The row cuts the lineality space: one direction in it,
-            # oriented to the row's positive side, becomes a ray, and the
-            # rest of the space and the old rays are projected along it
-            # into the row's hyperplane.
+            # oriented to the row's positive side, becomes a ray (unless
+            # the row is an equation), and the rest of the space and the
+            # old rays are projected along it into the row's hyperplane.
             cut = lin.pop(k)
             s = sum(map(mul, a, cut))
             if s < 0:
@@ -90,7 +79,9 @@ def _extreme_rays(eqs, rows, n: int, budget: int) -> list[tuple[int, ...]]:
             rays = [
                 (_combine(s, r, -sum(map(mul, a, r)), cut), z | bit) for r, z in rays
             ]
-            rays.append((cut, bit - 1))
+            if bit:
+                rays.append((cut, bit - 1))
+                cuts += 1
             continue
         pos, neg, kept = [], [], []
         for r, z in rays:
@@ -103,14 +94,14 @@ def _extreme_rays(eqs, rows, n: int, budget: int) -> list[tuple[int, ...]]:
             else:
                 kept.append((r, z | bit))
         used += len(pos) * len(neg)
-        if used > budget:
+        if budget is not None and used > budget:
             raise BudgetExceededError.over(
                 "vertex enumeration", "pair tests", budget, used
             )
         # A positive and a negative ray are adjacent when no third ray
         # vanishes on every row that both vanish on; adjacent rays share at
-        # least dim - len(lin) - 2 zeros, which rules most pairs out first.
-        need = dim - len(lin) - 2
+        # least cuts - 2 zeros, which rules most pairs out first.
+        need = cuts - 2
         zeros = [z for _, z in rays]
         for p, zp, vp in pos:
             for q, zq, vq in neg:
@@ -124,7 +115,9 @@ def _extreme_rays(eqs, rows, n: int, budget: int) -> list[tuple[int, ...]]:
     return [r for r, _ in rays]
 
 
-def _enumerate_vertices(g: Graph, kind: str, budget: int) -> list[tuple[int, ...]]:
+def _enumerate_vertices(
+    g: Graph, kind: str, budget: int | None
+) -> list[tuple[int, ...]]:
     # The extreme rays (t, x) with t > 0 behind polytope_vertices; see its
     # docstring.
     n = len(g.edges) + 1
@@ -147,22 +140,19 @@ def _enumerate_vertices(g: Graph, kind: str, budget: int) -> list[tuple[int, ...
 
 
 @lru_cache(maxsize=64)
-def _polytope_facts(g: Graph, kind: str, budget: int):
-    """``(vertices, denominator, dimension)`` of one polytope, memoised.
+def _polytope_facts(g: Graph, kind: str, budget: int | None):
+    """``(rays, denominator, dimension)`` of one polytope, memoised.
 
-    Always called positionally, so one (graph, kind, budget) is one cache
-    entry.  A budget error propagates and is not cached.
+    ``rays`` are the sorted primitive extreme rays (t, x), t > 0: each is
+    a vertex x / t times its denominator t.  Called positionally, so one
+    (graph, kind, budget) is one cache entry; a budget error is not cached.
     """
-    rays = _enumerate_vertices(g, _check_kind(kind), budget)
-    verts = tuple(sorted(tuple(Fraction(c, t) for c in x) for t, *x in rays))
-    # Rays are primitive, so the vertex x / t has denominator exactly t;
-    # the rays span the cone over the vertices, one more than their hull.
-    return verts, lcm(*(r[0] for r in rays)), _rank(rays) - 1
+    rays = tuple(sorted(_enumerate_vertices(g, _check_kind(kind), budget)))
+    # The rays span the cone over the vertices, one more than their hull.
+    return rays, lcm(*(r[0] for r in rays)), _rank(rays) - 1
 
 
-def polytope_vertices(
-    g: Graph, kind: str, *, budget: int = DEFAULT_VERTEX_BUDGET
-) -> list[Point]:
+def polytope_vertices(g: Graph, kind: str, *, budget: int | None = None) -> list[Point]:
     """All vertices of the magic polytope, exactly, in sorted order.
 
     The polytope is the slice t = 1 of a cone in the coordinates (t, x).
@@ -171,10 +161,11 @@ def polytope_vertices(
     vertex-sum equations come first, as equality rows: the cone is then
     still a linear space, so each equation only cuts it down and adds no
     ray.  The bounds follow, t >= 0 and every x_e >= 0, then every
-    x_e <= t for P.  Each bound either cuts the remaining linear space,
-    giving one new ray, or pairs each ray on its positive side with each
-    ray on its negative side; an adjacent pair (judged on the rays' zero
-    sets) gives a new ray, combined fraction-free and divided by its gcd.
+    x_e <= t for P.  Each bound either cuts the remaining linear space
+    (the equations' step), giving one new ray, or pairs each ray on its
+    positive side with each ray on its negative side; an adjacent pair
+    (judged on the rays' zero sets) gives a new ray, combined
+    fraction-free and divided by its gcd.
     Each extreme ray with t > 0 is the vertex x / t.  The order matters
     for speed only: the equations first keep every intermediate cone
     inside their solution space, and every lower bound before any upper
@@ -183,10 +174,13 @@ def polytope_vertices(
 
     ``budget`` caps the pair tests, the positive-by-negative ray pairs
     considered, summed over the rows; BudgetExceededError is raised once
-    they exceed it.  Returns [] for an empty polytope.  The result is a
-    fresh list on every call.
+    they exceed it, and ``None`` means no cap.  The rays are memoised per
+    (graph, kind, budget) and shared with ``polytope_denominator``,
+    ``polytope_dimension`` and ``semigroups.cf_elements``.  Returns [] for
+    an empty polytope, and a fresh list on every call.
     """
-    return list(_polytope_facts(g, kind, budget)[0])
+    rays = _polytope_facts(g, kind, budget)[0]
+    return sorted(tuple(Fraction(c, t) for c in x) for t, *x in rays)
 
 
 def point_denominator(pt) -> int:
@@ -194,19 +188,15 @@ def point_denominator(pt) -> int:
     return lcm(*(Fraction(c).denominator for c in pt)) if pt else 1
 
 
-def polytope_denominator(
-    g: Graph, kind: str, *, budget: int = DEFAULT_VERTEX_BUDGET
-) -> int:
+def polytope_denominator(g: Graph, kind: str, *, budget: int | None = None) -> int:
     """Least dilation factor whose polytope has all-integral vertices."""
-    verts, den, _ = _polytope_facts(g, kind, budget)
-    if not verts:
+    rays, den, _ = _polytope_facts(g, kind, budget)
+    if not rays:
         raise ValueError("polytope is empty")
     return den
 
 
-def polytope_dimension(
-    g: Graph, kind: str, *, budget: int = DEFAULT_VERTEX_BUDGET
-) -> int:
+def polytope_dimension(g: Graph, kind: str, *, budget: int | None = None) -> int:
     """Dimension of the affine hull of the vertex set; -1 when empty."""
     return _polytope_facts(g, kind, budget)[2]
 

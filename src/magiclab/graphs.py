@@ -183,17 +183,20 @@ def leaves(g: Graph) -> list[tuple[str, Edge]]:
     return out
 
 
-def _matchings(g: Graph, loops_cover: bool):
-    # Perfect matchings are the 0/1 magic labelings of index 1; under
-    # loops_cover=False every loop is capped at 0.  The index search finds
-    # nothing on a graph without vertices, whose one perfect matching is
-    # the empty one.
+def _matching_caps(g: Graph, loops_cover: bool) -> list[int]:
+    # Under loops_cover=False every loop is capped at 0.
+    return [1 if u != w or loops_cover else 0 for u, w in g.edges]
+
+
+def _matchings(g: Graph, caps):
+    # Perfect matchings are the 0/1 magic labelings of index 1 below caps.
+    # The index search finds nothing on a graph without vertices, whose
+    # one perfect matching is the empty one.
     from .labelings import _labelings
 
     if not g.vertices:
         yield ()
         return
-    caps = [1 if u != w or loops_cover else 0 for u, w in g.edges]
     for buf in _labelings(g, caps, (1,), None):
         yield tuple(i for i, x in enumerate(buf) if x)
 
@@ -207,26 +210,31 @@ def perfect_matchings(g: Graph, *, loops_cover: bool = True) -> list[tuple[int, 
     in bijection on loop graphs.  Pass ``loops_cover=False`` for the
     stricter reading under which loops never belong to a matching.
     """
-    return sorted(_matchings(g, loops_cover))
+    return sorted(_matchings(g, _matching_caps(g, loops_cover)))
 
 
 def has_perfect_matching(g: Graph, *, loops_cover: bool = True) -> bool:
-    return next(_matchings(g, loops_cover), None) is not None
+    return next(_matchings(g, _matching_caps(g, loops_cover)), None) is not None
 
 
 def matching_preclusion_class(g: Graph) -> str:
     """Classify how many edge deletions destroy all perfect matchings.
 
-    Returns ``"no_pm"`` when g has no perfect matching (including any
-    graph with an odd vertex count), ``"one"`` when some single edge
-    deletion leaves no perfect matching, else ``"greater_than_one"``.
+    Loops never belong to a perfect matching here (``loops_cover=False``).
+    Returns ``"no_pm"`` when g has none (as with an odd vertex count),
+    ``"one"`` when some single edge deletion leaves none, else
+    ``"greater_than_one"``.  Only an edge of a perfect matching M can lie
+    in all of them, so one search per edge of M, capped at 0, decides.
     """
-    if len(g.vertices) % 2 == 1 or not has_perfect_matching(g):
+    caps = _matching_caps(g, False)
+    found = None if len(g.vertices) % 2 else next(_matchings(g, caps), None)
+    if found is None:
         return "no_pm"
-    for i in range(len(g.edges)):
-        pruned = Graph(g.vertices, g.edges[:i] + g.edges[i + 1:])
-        if not has_perfect_matching(pruned):
+    for e in found:
+        caps[e] = 0
+        if next(_matchings(g, caps), None) is None:
             return "one"
+        caps[e] = 1
     return "greater_than_one"
 
 

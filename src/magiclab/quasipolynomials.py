@@ -7,6 +7,7 @@ negative arguments evaluate through the same constituents).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -146,8 +147,6 @@ class Quasipolynomial:
         return Quasipolynomial(mqp, self.constituents[:mqp])
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "period": self.period,
@@ -158,15 +157,24 @@ class Quasipolynomial:
 
     @staticmethod
     def from_json(text: str) -> Quasipolynomial:
-        import json
-
-        data = json.loads(text)
-        return Quasipolynomial(
-            int(data["period"]),
-            tuple(
-                tuple(Fraction(c) for c in cs) for cs in data["constituents"]
-            ),
-        )
+        """Parse what ``to_json`` writes, ignoring other keys (as in the
+        CLI's ``ehrhart`` JSON); anything else raises ValueError."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("quasipolynomial JSON is nested too deeply") from None
+        if not isinstance(data, dict) or type(data.get("period")) is not int:
+            raise ValueError("quasipolynomial JSON needs an integer period")
+        parts = data.get("constituents")
+        if not isinstance(parts, list) or not all(
+            isinstance(cs, list) and all(isinstance(c, str) for c in cs) for cs in parts
+        ):
+            raise ValueError("quasipolynomial JSON constituents must be string lists")
+        try:
+            parts = tuple(tuple(map(Fraction, cs)) for cs in parts)
+        except ZeroDivisionError:
+            raise ValueError("quasipolynomial JSON has a zero denominator") from None
+        return Quasipolynomial(data["period"], parts)
 
 
 def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
@@ -227,12 +235,10 @@ def ehrhart_of_polytope(
     so its pass at t is that of ``count_index_k(g, t)``.  ``budget`` caps
     the vertex-enumeration pair tests and, separately, the state
     transitions of all the counts together, so it bounds the sweep's
-    total work; ``None`` means ``geometry.DEFAULT_VERTEX_BUDGET`` pair
-    tests and no transition cap.
+    total work; ``None`` means no cap on either.
     """
-    vertex_budget = geometry.DEFAULT_VERTEX_BUDGET if budget is None else budget
-    den = geometry.polytope_denominator(g, kind, budget=vertex_budget)
-    dim = geometry.polytope_dimension(g, kind, budget=vertex_budget)
+    den = geometry.polytope_denominator(g, kind, budget=budget)
+    dim = geometry.polytope_dimension(g, kind, budget=budget)
     top = den * (dim + 2) - 1
     if kind == "P":
         values = labelings.count_series(g, top, budget=budget)[0]

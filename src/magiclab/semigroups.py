@@ -47,31 +47,26 @@ def validate_element(g: Graph, kind: str, elem: SemigroupElement) -> None:
     idx = is_magic(elem.labeling)
     if idx is None:
         raise ValueError("element labeling is not magic")
-    if kind == "P":
+    if geometry._check_kind(kind) == "P":
         if max_label(elem.labeling) > elem.height:
             raise ValueError("height must be at least the maximum label")
-    elif kind == "Q":
-        if idx != elem.height:
-            raise ValueError("height must equal the index")
-    else:
-        raise ValueError(f"kind must be one of ('P', 'Q'), got {kind!r}")
+    elif idx != elem.height:
+        raise ValueError("height must equal the index")
 
 
 def cf_elements(
-    g: Graph, kind: str, *, budget: int = geometry.DEFAULT_VERTEX_BUDGET
+    g: Graph, kind: str, *, budget: int | None = None
 ) -> list[SemigroupElement]:
     """Completely fundamental elements: each polytope vertex v scaled by
     its denominator d, paired with height d.
 
-    Sorted by height then labels for a deterministic order.
+    These are the primitive extreme rays (d, d * v) of the cone over the
+    polytope, read straight from ``geometry``'s memo, so ``budget`` caps
+    the same pair tests as ``geometry.polytope_vertices`` (``None``: no
+    cap).  Sorted by height then labels for a deterministic order.
     """
-    verts = geometry.polytope_vertices(g, kind, budget=budget)
-    elems = []
-    for v in verts:
-        d = geometry.point_denominator(v)
-        labels = tuple(int(c * d) for c in v)
-        elems.append(SemigroupElement(Labeling(g, labels), d))
-    return sorted(elems, key=lambda e: (e.height, e.labeling.labels))
+    rays = geometry._polytope_facts(g, kind, budget)[0]
+    return [SemigroupElement(Labeling(g, r[1:]), r[0]) for r in rays]
 
 
 @dataclass(frozen=True)

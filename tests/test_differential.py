@@ -2,10 +2,12 @@
 
 The labeling search is checked against filtered label cubes, its floors
 against filtering, the vertex enumeration against the subset scan, the
-counting DP against the labeling search, the height-box CF oracle
-against a full enumeration of every decomposition, the generator
-decomposition's explicit stack against a recursive search, and the
-Stanley extraction's failures against the generator decomposition.
+CF elements against the scaled vertices, the preclusion class against
+brute-force matchings, the counting DP against the labeling search, the
+height-box CF oracle against a full enumeration of every decomposition,
+the generator decomposition's explicit stack against a recursive
+search, and the Stanley extraction's failures against the generator
+decomposition.
 Graphs are small (at most 5 vertices and 7 edges where a label cube is
 filtered in full) with loops, parallel loops and isolated vertices.
 Examples are derandomised, so each run tries the same graphs.
@@ -21,6 +23,7 @@ from magiclab import (
     Graph,
     Labeling,
     SemigroupElement,
+    cf_elements,
     count_index_k,
     count_magic_k,
     count_series,
@@ -30,9 +33,11 @@ from magiclab import (
     enumerate_magic_k,
     is_bipartite,
     is_magic,
+    matching_preclusion_class,
     max_label,
     path_graph,
     perfect_matchings,
+    point_denominator,
     polytope_dimension,
     polytope_vertices,
     stanley_decompose,
@@ -149,6 +154,24 @@ def test_perfect_matchings_match_brute_force(g):
         )
 
 
+# "one" exactly when the loop-free perfect matchings share an edge; both
+# graphs of the examples have a loop that a loop-covering reading would
+# count.
+@settings(SETTINGS, max_examples=300)
+@given(small_graphs())
+@example(Graph(("a", "b"), (("a", "b"), ("a", "a"), ("b", "b"))))
+@example(Graph(("a", "b", "c"), (("a", "b"), ("c", "c"))))
+def test_preclusion_class_matches_brute_force(g):
+    found = brute_perfect_matchings(g, loops_cover=False)
+    if not found:
+        want = "no_pm"
+    elif set.intersection(*map(set, found)):
+        want = "one"
+    else:
+        want = "greater_than_one"
+    assert matching_preclusion_class(g) == want
+
+
 def affine_rank(points):
     """Dimension of the affine hull of ``points``; -1 when there are none."""
     if not points:
@@ -171,6 +194,20 @@ def test_vertices_match_the_subset_scan(g):
         if want is not None:
             assert polytope_vertices(g, kind) == want
             assert polytope_dimension(g, kind) == affine_rank(want)
+
+
+# CF elements against the route they replaced: each vertex scaled by its
+# denominator.
+@SETTINGS
+@given(loop_graphs(max_vertices=4))
+def test_cf_elements_are_the_scaled_vertices(g):
+    for kind in "PQ":
+        want = []
+        for v in polytope_vertices(g, kind):
+            d = point_denominator(v)
+            want.append((d, tuple(int(c * d) for c in v)))
+        got = [(e.height, e.labeling.labels) for e in cf_elements(g, kind)]
+        assert got == sorted(want)
 
 
 # The counting DP against the search it replaced for counting; the graph

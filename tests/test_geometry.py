@@ -180,8 +180,8 @@ class TestVertices:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_gn_p_vertices(self, n):
-        # The zero labeling, the n matchings and lstar / (n - 1), at the
-        # default budget; gn(8) has 10,518,300 halfspace subsets.
+        # The zero labeling, the n matchings and lstar / (n - 1), with no
+        # budget; the double description makes 7,356 pair tests on gn(8).
         g = make_gn(n)
         got = set(polytope_vertices(g, "P"))
         expected = {tuple(F(0) for _ in g.edges)}

@@ -329,6 +329,16 @@ class TestMatchingPreclusion:
         g = build_graph(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "d")])
         assert matching_preclusion_class(g) == "no_pm"
 
+    def test_loops_never_match(self):
+        # ab is the one loop-free perfect matching; the loops would give
+        # {aa, bb} another under the loop-covering reading.
+        g = Graph(("a", "b"), (("a", "b"), ("a", "a"), ("b", "b")))
+        assert matching_preclusion_class(g) == "one"
+        g = Graph(("a", "b", "c"), (("a", "b"), ("c", "c")))
+        assert has_perfect_matching(g)
+        assert not has_perfect_matching(g, loops_cover=False)
+        assert matching_preclusion_class(g) == "no_pm"
+
 
 class TestForcedMaxEdge:
     def test_single_edge(self):

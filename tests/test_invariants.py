@@ -6,7 +6,8 @@ the name ``float`` (calls included) and the floating-point functions of
 ``math``.  The vertex enumeration's double description and the rank of
 its rays run on integers alone and never name ``Fraction``.  No function
 calls itself by name, so no input can reach the recursion limit.  Every
-name the package exports is used by another module or by a test.
+name the package exports is used by another module or by a test.  Every
+``budget`` parameter with a default defaults to None, which means no cap.
 """
 
 import ast
@@ -161,3 +162,41 @@ def test_export_detector_catches():
     assert unreferenced(["used", "dead"], [source]) == ["dead"]
     # A use outside the definition counts wherever it comes.
     assert unreferenced(["f"], ["g = f\ndef f():\n    return f"]) == []
+
+
+def budget_defaults(tree: ast.AST) -> list[str]:
+    """Defaulted ``budget`` parameters whose default is not None."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            # Defaults belong to the last positional parameters; a
+            # keyword-only parameter without one has None.
+            pairs = list(zip(reversed(positional), reversed(args.defaults)))
+            pairs += zip(args.kwonlyargs, args.kw_defaults)
+            for arg, default in pairs:
+                if arg.arg == "budget" and default is not None and not (
+                    isinstance(default, ast.Constant) and default.value is None
+                ):
+                    found.append(f"{fn.name}, line {default.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_budgets_default_to_none(path):
+    assert budget_defaults(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_budget_detector_catches():
+    source = (
+        "def f(g, *, budget=10**7):\n    pass\n"
+        "def h(budget: int = LIMIT, x=None):\n    pass\n"
+    )
+    assert budget_defaults(ast.parse(source)) == ["f, line 1", "h, line 3"]
+    source = (
+        "def f(budget=None, *, b=3):\n    pass\n"
+        "def g(budget, *, k=1):\n    pass\n"
+        "def h(*, budget: int | None = None):\n    pass\n"
+    )
+    assert budget_defaults(ast.parse(source)) == []

@@ -376,3 +376,20 @@ class TestJson:
     def test_strings_are_exact(self):
         text = G4_EXPECTED.to_json()
         assert "25/18" in text and "10/9" in text
+
+    # None of these is what to_json writes.
+    BAD = {
+        "float": '{"period":1,"constituents":[[0.1]]}',
+        "fractional-period": '{"period":1.9,"constituents":[["1"]]}',
+        "bool-period": '{"period":true,"constituents":[["1"]]}',
+        "deep": "[" * 100_000,
+        "zero-denominator": '{"period":1,"constituents":[["1/0"]]}',
+        "string-constituent": '{"period":1,"constituents":["12"]}',
+        "no-constituents": '{"period":1}',
+        "not-an-object": "[1]",
+    }
+
+    @pytest.mark.parametrize("text", BAD.values(), ids=BAD)
+    def test_rejects_what_to_json_never_writes(self, text):
+        with pytest.raises(ValueError):
+            Quasipolynomial.from_json(text)

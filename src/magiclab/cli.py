@@ -103,7 +103,7 @@ def _cmd_ehrhart(args) -> int:
     budget = _budget(args)
     q = quasipolynomials.ehrhart_of_polytope(g, args.polytope, budget=budget)
     den = geometry.polytope_denominator(g, args.polytope, budget=budget)
-    mqp = q.minimum_quasiperiod()
+    mqp = q.period  # ehrhart_of_polytope minimizes the period
     if args.format == "json":
         payload = json.loads(q.to_json())
         payload.update(polytope=args.polytope, denominator=den, minimum_quasiperiod=mqp)

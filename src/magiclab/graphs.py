@@ -197,7 +197,7 @@ def _matchings(g: Graph, caps):
     if not g.vertices:
         yield ()
         return
-    for buf in _labelings(g, caps, (1,), None):
+    for _, buf in _labelings(g, caps, (1,), None):
         yield tuple(i for i, x in enumerate(buf) if x)
 
 

@@ -49,7 +49,8 @@ def is_magic(lab: Labeling) -> int | None:
     valid magic labeling, so compare the result against None rather than
     testing truthiness.
     """
-    sums = {vertex_sum(lab, v) for v in lab.graph.vertices}
+    labels, inc = lab.labels, lab.graph.incidence
+    sums = {sum(labels[ei] for ei in inc[v]) for v in lab.graph.vertices}
     if not sums:
         return 0
     if len(sums) == 1:
@@ -149,8 +150,8 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
 
     Targets are taken in turn from ``indices``, or are every index the
     bounds allow when it is None.  Each edge label lies between
-    ``floors`` (zero when None) and ``caps``.  Each solution yields the
-    internal label buffer (in coordinate order), so callers must copy it.
+    ``floors`` (zero when None) and ``caps``.  Yields ``(index, buffer)``
+    per solution; the label buffer (coordinate order) is internal, so copy it.
     ``budget`` caps the label values offered over the whole search,
     counted per position before any value is tried.
 
@@ -203,7 +204,7 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
                     sums[vi] += lo
                 t += 1
             else:
-                yield labels if floors is None else [
+                yield target, labels if floors is None else [
                     x + f for x, f in zip(labels, floors)
                 ]
             # Back up to the deepest position with a value left to try.
@@ -226,7 +227,7 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
 def _collect(g: Graph, caps, indices, budget: int | None, floors=None) -> list[Labeling]:
     return [
         Labeling(g, tuple(buf))
-        for buf in _labelings(g, caps, indices, budget, floors)
+        for _, buf in _labelings(g, caps, indices, budget, floors)
     ]
 
 

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from numbers import Rational, Real
 
 from . import geometry, labelings
 from .graphs import Graph
@@ -55,6 +56,8 @@ def iterated_difference_of_fn(n: int, i: int, t: int) -> int:
     Equals the sum of C(j, n-i) over 0 <= j <= t with j congruent to
     t mod n.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if not 0 <= i <= n:
         raise ValueError("need 0 <= i <= n")
     if t < 0:
@@ -62,8 +65,15 @@ def iterated_difference_of_fn(n: int, i: int, t: int) -> int:
     return sum(binomial(j, n - i) for j in range(t % n, t + 1, n))
 
 
+def _exact(v) -> Fraction:
+    # Floating point is Real but not Rational; Fraction(0.1) is not 1/10.
+    if isinstance(v, Real) and not isinstance(v, Rational):
+        raise ValueError(f"{v!r} is floating point, not an exact value")
+    return Fraction(v)
+
+
 def _trim(coeffs) -> Coeffs:
-    cs = [Fraction(c) for c in coeffs]
+    cs = list(map(_exact, coeffs))
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -94,7 +104,9 @@ class Quasipolynomial:
     constituents: tuple[Coeffs, ...]
 
     def __post_init__(self):
-        if self.period < 1:
+        (period,) = labelings._as_ints((self.period,), "period")
+        object.__setattr__(self, "period", period)
+        if period < 1:
             raise ValueError("period must be positive")
         if len(self.constituents) != self.period:
             raise ValueError("need exactly one constituent per residue")
@@ -190,7 +202,7 @@ def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
         raise ValueError("period must be positive")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    values = [Fraction(v) for v in samples]
+    values = list(map(_exact, samples))
     if len(values) < period * (degree + 2):
         raise ValueError(
             f"need at least {period * (degree + 2)} samples, got {len(values)}"

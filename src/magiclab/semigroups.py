@@ -87,8 +87,7 @@ class CFVerdict:
 
 
 def _is_multiple(labels, height, base: SemigroupElement) -> bool:
-    if base.height == 0:
-        return False
+    # base is a validated nonzero element, so its height is positive.
     j, rem = divmod(height, base.height)
     if rem:
         return False
@@ -111,13 +110,15 @@ def verify_completely_fundamental(
 
     Only the labelings b that have a valid height are searched.  Write
     total = m * elem and H = m * elem.height.  For kind "P" a height h
-    of b needs max(b) <= h and max(c) <= H - h, so each h = 0 .. H is
-    one box, max(0, total_e - (H - h)) <= b_e <= min(total_e, h), which
-    ``enumerate_magic_bounded`` searches with those floors and caps;
-    witnesses are found in order of m, then of the height of b.  For
-    kind "Q" the one box is b <= total and the height of b is its index.
-    ``budget`` caps the search nodes of each box's search separately:
-    one search per (m, h) box for "P", one per m for "Q".
+    of b needs max(b) <= h and max(c) <= H - h, so each h is one box,
+    max(0, total_e - (H - h)) <= b_e <= min(total_e, h), which
+    ``enumerate_magic_bounded`` searches with those floors and caps.
+    Box H - h holds the complements c = total - b of box h, and (b, h)
+    is a multiple of elem iff (c, H - h) is, so the least-height witness
+    has h <= H / 2: only those boxes are searched, in order of m, then
+    of h.  For kind "Q" the one box is b <= total and the height of b is
+    its index.  ``budget`` caps the search nodes of each box's search
+    separately: one search per (m, h) box for "P", one per m for "Q".
     """
     validate_element(g, kind, elem)
     if m_max < 1:
@@ -134,7 +135,7 @@ def verify_completely_fundamental(
                     [min(t, h) for t in total],
                     [max(0, t - (total_h - h)) for t in total],
                 )
-                for h in range(total_h + 1)
+                for h in range(total_h // 2 + 1)
             ]
         else:
             boxes = [(None, total, None)]
@@ -220,10 +221,7 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     g = lab.graph
     allowed = (1,) if is_bipartite(g) is not None else (1, 2)
     caps = [min(x, 2) for x in lab.labels]
-    # idx >= 1, so every vertex has an edge and one vertex sum is the index.
-    first = g.incidence[g.vertices[0]]
-    found = map(tuple, _labelings(g, caps, allowed, budget))
-    pool = sorted((sum(map(p.__getitem__, first)), p) for p in found)
+    pool = sorted((t, tuple(p)) for t, p in _labelings(g, caps, allowed, budget))
     pieces = _extract(pool, lab.labels, idx, budget)
     if pieces is None:
         raise ValueError(

@@ -3,11 +3,12 @@
 The labeling search is checked against filtered label cubes, its floors
 against filtering, the vertex enumeration against the subset scan, the
 CF elements against the scaled vertices, the preclusion class against
-brute-force matchings, the counting DP against the labeling search, the
-height-box CF oracle against a full enumeration of every decomposition,
-the generator decomposition's explicit stack against a recursive
-search, and the Stanley extraction's failures against the generator
-decomposition.
+brute-force matchings, the index each search solution is reported with
+against the magic test, the counting DP against the labeling search, the
+height-box CF oracle against a full enumeration of every decomposition
+and its half-height search against every height box, the generator
+decomposition's explicit stack against a recursive search, and the
+Stanley extraction's failures against the generator decomposition.
 Graphs are small (at most 5 vertices and 7 edges where a label cube is
 filtered in full) with loops, parallel loops and isolated vertices.
 Examples are derandomised, so each run tries the same graphs.
@@ -16,6 +17,7 @@ Examples are derandomised, so each run tries the same graphs.
 import itertools
 from collections import Counter
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from magiclab import (
@@ -33,6 +35,8 @@ from magiclab import (
     enumerate_magic_k,
     is_bipartite,
     is_magic,
+    lstar,
+    make_gn,
     matching_preclusion_class,
     max_label,
     path_graph,
@@ -210,6 +214,15 @@ def test_cf_elements_are_the_scaled_vertices(g):
         assert got == sorted(want)
 
 
+# Each solution of the search comes with the index it was found at.
+@SETTINGS
+@given(graphs_with_bounds())
+def test_search_reports_each_solution_index(gcf):
+    g, caps, floors = gcf
+    for index, buf in _labelings(g, caps, None, None, floors):
+        assert is_magic(Labeling(g, tuple(buf))) == index
+
+
 # The counting DP against the search it replaced for counting; the graph
 # with no vertices and an edgeless graph always run.
 @SETTINGS
@@ -367,6 +380,50 @@ def oracle_cases(draw):
         height = is_magic(lab)
     assume(height or any(lab.labels))  # the zero element is rejected
     return g, kind, SemigroupElement(lab, height), draw(st.integers(1, 3))
+
+
+def every_height_oracle(g, kind, elem, m_max):
+    """The height-box CF oracle with every P box h = 0 .. m * height
+    searched, not only h <= m * height / 2."""
+    validate_element(g, kind, elem)
+    for m in range(1, m_max + 1):
+        total = [m * x for x in elem.labeling.labels]
+        total_h = m * elem.height
+        if kind == "P":
+            boxes = [
+                (h, [min(t, h) for t in total], [max(0, t - (total_h - h)) for t in total])
+                for h in range(total_h + 1)
+            ]
+        else:
+            boxes = [(None, total, None)]
+        for h, caps, floors in boxes:
+            for b_lab in enumerate_magic_bounded(g, caps, floors=floors):
+                h_b = is_magic(b_lab) if h is None else h
+                if not _is_multiple(b_lab.labels, h_b, elem):
+                    c_labels = tuple(t - x for t, x in zip(total, b_lab.labels))
+                    return CFVerdict(
+                        refuted=True,
+                        m_max=m_max,
+                        m=m,
+                        b=SemigroupElement(b_lab, h_b),
+                        c=SemigroupElement(Labeling(g, c_labels), total_h - h_b),
+                    )
+    return CFVerdict(refuted=False, m_max=m_max)
+
+
+# Box H - h holds the complements of box h, so the least-height witness
+# lies at h <= H / 2: the whole verdict, witnesses included, must match.
+@SETTINGS
+@given(oracle_cases())
+def test_half_height_boxes_match_every_height(case):
+    assert verify_completely_fundamental(*case) == every_height_oracle(*case)
+
+
+@pytest.mark.parametrize("kind", "PQ")
+@pytest.mark.parametrize("n", range(2, 6))
+def test_half_height_boxes_match_every_height_on_lstar(n, kind):
+    case = (make_gn(n), kind, SemigroupElement(lstar(n), n), 3)
+    assert verify_completely_fundamental(*case) == every_height_oracle(*case)
 
 
 # The boxes search each (m, height of b) on its own, so a witness is now

@@ -119,6 +119,26 @@ class TestEvaluate:
         assert G4_EXPECTED.evaluate(-2) == want
 
 
+class TestConstruction:
+    def test_bool_period_is_stored_as_an_int(self):
+        q = Quasipolynomial(True, ((F(1),),))
+        assert type(q.period) is int and q.to_json() == '{"period":1,"constituents":[["1"]]}'
+
+    @pytest.mark.parametrize("period", [1.0, 1.5, "1"])
+    def test_non_integer_period_rejected(self, period):
+        with pytest.raises(ValueError, match="period"):
+            Quasipolynomial(period, ((F(1),),))
+
+    def test_float_coefficient_rejected(self):
+        # Fraction(0.1) would be 3602879701896397/36028797018963968.
+        with pytest.raises(ValueError, match="exact"):
+            Quasipolynomial(1, ((0.1,),))
+
+    def test_exact_coefficients_accepted(self):
+        q = Quasipolynomial(1, ((1, F(1, 3), "1/2"),))
+        assert q.constituents == ((F(1), F(1, 3), F(1, 2)),)
+
+
 class TestDifference:
     def test_square(self):
         q = Quasipolynomial(1, ((F(0), F(0), F(1)),))
@@ -167,6 +187,10 @@ class TestIteratedDifference:
         with pytest.raises(ValueError):
             iterated_difference_of_fn(3, 4, 1)
 
+    def test_order_zero_rejected(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            iterated_difference_of_fn(0, 0, 3)
+
 
 class TestFit:
     def test_square_polynomial(self):
@@ -198,6 +222,10 @@ class TestFit:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             fit_quasipolynomial([1, 2], 1, 2)
+
+    def test_float_sample_rejected(self):
+        with pytest.raises(ValueError, match="exact"):
+            fit_quasipolynomial([1, 1, 0.5], 1, 0)
 
     def test_round_trip_on_every_sample(self):
         samples = [f_n(3, k) for k in range(24)]

@@ -189,8 +189,9 @@ class TestFundamentalityOracle:
         assert (err.value.phase, err.value.consumed, err.value.budget) == ("search", 24, 23)
 
     def test_gn8_lstar_is_searched_by_height(self):
-        # The magic b <= m * lstar(8), m <= 4, number 462,978; only 14 of
-        # them lie in a height box, so the search takes milliseconds.
+        # The magic b <= m * lstar(8), m <= 4, number 462,978.  Only the
+        # heights up to m * 7 / 2 are searched (box H - h holds box h's
+        # complements): 8 labelings in 38 of the 74 boxes, in milliseconds.
         g = make_gn(8)
         verdict = verify_completely_fundamental(g, "P", SemigroupElement(lstar(8), 7), 4)
         assert not verdict.refuted

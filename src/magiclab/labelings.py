@@ -232,26 +232,22 @@ def _collect(g: Graph, caps, indices, budget: int | None, floors=None) -> list[L
 
 
 def _count_plan(steps):
-    # The DP state is the tuple of partial sums of the open vertices
-    # (touched, not yet closed) in the order they opened.  Each step of
-    # _steps becomes the edge's cap, the zeros that open its new ends, a
-    # (state position, capacity left after this edge) pair per end, and a
-    # picker that drops the ends the edge closes.
+    # The DP state is one int with one base-(target + 1) digit per slot:
+    # the partial sum of the open vertex (touched, not yet closed) that
+    # holds the slot.  A vertex takes the lowest free slot when its first
+    # edge opens it and frees it when its last edge closes it, so there
+    # are as many slots as the frontier is wide.  Each step of _steps
+    # becomes the edge's cap, a (slot, capacity left after this edge)
+    # pair per end, and the slots of the ends the edge closes.
     last = {vi: t for t, (_, _, ends) in enumerate(steps) for vi, _ in ends}
-    frontier: list[int] = []
+    slot: dict[int, int] = {}
     plan = []
     for t, (_, cap, ends) in enumerate(steps):
-        fresh = [vi for vi, _ in ends if vi not in frontier]
-        frontier += fresh
-        bounds = tuple((frontier.index(vi), after) for vi, after in ends)
-        keep = [p for p, vi in enumerate(frontier) if last[vi] != t]
-        frontier = [frontier[p] for p in keep]
-        if len(keep) > 1:
-            pick = operator.itemgetter(*keep)
-        else:
-            # itemgetter returns a bare item for one index and fails on none.
-            pick = lambda s, keep=keep: tuple(s[p] for p in keep)
-        plan.append((cap, (0,) * len(fresh), bounds, pick))
+        for vi, _ in ends:
+            if vi not in slot:
+                slot[vi] = min(set(range(len(slot) + 1)) - set(slot.values()))
+        bounds = tuple((slot[vi], after) for vi, after in ends)
+        plan.append((cap, bounds, [slot.pop(vi) for vi, _ in ends if last[vi] == t]))
     return plan
 
 
@@ -264,24 +260,30 @@ def _count(
     # _labelings would yield, without visiting each.  Every edge label is
     # bounded as in the search; an edge that closes a vertex has no
     # capacity left there, so its label is forced to the target minus the
-    # vertex's sum.  ``budget`` caps the state transitions, one per
-    # (state, label value), counted on from the ``used`` of earlier
-    # passes; returns the counts and the transitions used by then.
+    # vertex's sum, and subtracting target * radix**slot then frees its
+    # digit, so the only state left at the end is 0.  A label adds
+    # ``step`` (the digit weights of the edge's ends) to the state.
+    # ``budget`` caps the state transitions, one per (state, label value),
+    # counted on from the ``used`` of earlier passes; returns the counts
+    # and the transitions used by then.
     capacity, steps = _steps(g, caps)
     least = min(capacity, default=0)
     plan = _count_plan(steps)
     counts = []
     top = least if last is None else min(last, least)
     for target in range(first, top + 1):
-        states = {(): 1}
-        for cap, pad, bounds, pick in plan:
-            nxt: dict[tuple[int, ...], int] = {}
+        radix = target + 1
+        states = {0: 1}
+        for cap, bounds, closes in plan:
+            ends = [(radix**p, after) for p, after in bounds]
+            step = sum(w for w, _ in ends)
+            drop = target * sum(radix**p for p in closes)
+            nxt: dict[int, int] = {}
             get = nxt.get
             for state, mult in states.items():
-                s = list(state + pad)
                 lo, hi = 0, cap
-                for p, after in bounds:
-                    need = target - s[p]
+                for w, after in ends:
+                    need = target - state // w % radix
                     if need - after > lo:
                         lo = need - after
                     if need < hi:
@@ -293,20 +295,14 @@ def _count(
                     raise BudgetExceededError.over(
                         "counting", "state transitions", budget, used
                     )
-                for p, _after in bounds:
-                    s[p] += lo
+                key = state + lo * step - drop
                 if lo == hi:  # forced, as at every closing edge
-                    key = pick(s)
                     nxt[key] = get(key, 0) + mult
                     continue
-                for _ in range(lo, hi + 1):
-                    key = pick(s)
+                for key in range(key, key + (hi - lo) * step + 1, step):
                     nxt[key] = get(key, 0) + mult
-                    for p, _after in bounds:
-                        s[p] += 1
             states = nxt
-        # Every vertex has closed, so the only state left is ().
-        counts.append(states.get((), 0))
+        counts.append(states.get(0, 0))
     return counts, used
 
 

@@ -198,6 +198,7 @@ def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
     guess raises ValueError instead of returning a bad quasipolynomial.
     Needs at least period * (degree + 2) samples.
     """
+    period, degree = labelings._as_ints((period, degree), "period and degree")
     if period < 1:
         raise ValueError("period must be positive")
     if degree < 0:

@@ -4,7 +4,8 @@ The labeling search is checked against filtered label cubes, its floors
 against filtering, the vertex enumeration against the subset scan, the
 CF elements against the scaled vertices, the preclusion class against
 brute-force matchings, the index each search solution is reported with
-against the magic test, the counting DP against the labeling search, the
+against the magic test, the counting DP against the labeling search and
+its packed-int state against a tuple-state copy of the DP, the
 height-box CF oracle against a full enumeration of every decomposition
 and its half-height search against every height box, the generator
 decomposition's explicit stack against a recursive search, and the
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from magiclab import (
+    BudgetExceededError,
     CFVerdict,
     Graph,
     Labeling,
@@ -47,7 +49,7 @@ from magiclab import (
     stanley_decompose,
     verify_completely_fundamental,
 )
-from magiclab.labelings import _count, _labelings
+from magiclab.labelings import _count, _labelings, _steps
 from magiclab.semigroups import _is_multiple, validate_element
 from test_geometry import brute_vertices, rref
 from test_graphs import brute_perfect_matchings
@@ -277,6 +279,78 @@ def test_one_call_q_sweep_matches_the_index_counts(g, top):
     values += [0] * (top + 1 - len(values))
     assert values == [count_index_k(g, k) for k in range(top + 1)]
     assert used == sum(_count(g, [k] * m, k, k, None)[1] for k in range(top + 1))
+
+
+def tuple_state_count(g, caps, first, last, budget):
+    """The counting DP with the tuple state it had before the packed int.
+
+    The state is the tuple of partial sums of the open vertices in the
+    order they opened; each step pads the new ends with zeros, adds the
+    label to each end and picks out the ends the edge does not close.
+    """
+    capacity, steps = _steps(g, caps)
+    last_step = {vi: t for t, (_, _, ends) in enumerate(steps) for vi, _ in ends}
+    frontier, plan = [], []
+    for t, (_, cap, ends) in enumerate(steps):
+        fresh = [vi for vi, _ in ends if vi not in frontier]
+        frontier += fresh
+        bounds = [(frontier.index(vi), after) for vi, after in ends]
+        keep = [p for p, vi in enumerate(frontier) if last_step[vi] != t]
+        frontier = [frontier[p] for p in keep]
+        plan.append((cap, (0,) * len(fresh), bounds, keep))
+    least = min(capacity, default=0)
+    counts, used = [], 0
+    for target in range(first, (least if last is None else min(last, least)) + 1):
+        states = {(): 1}
+        for cap, pad, bounds, keep in plan:
+            nxt = Counter()
+            for state, mult in states.items():
+                s = list(state + pad)
+                lo, hi = 0, cap
+                for p, after in bounds:
+                    lo, hi = max(lo, target - s[p] - after), min(hi, target - s[p])
+                if lo > hi:
+                    continue
+                used += hi - lo + 1
+                if budget is not None and used > budget:
+                    raise BudgetExceededError.over(
+                        "counting", "state transitions", budget, used
+                    )
+                for x in range(lo, hi + 1):
+                    sums = s[:]
+                    for p, _after in bounds:
+                        sums[p] += x
+                    nxt[tuple(sums[p] for p in keep)] += mult
+            states = nxt
+        counts.append(states.get((), 0))
+    return counts, used
+
+
+# The packed-int DP against the tuple-state DP it replaced: the same
+# states in the same order give the same counts, the same transitions,
+# and a budget one short, or half the transitions, stops both at the
+# same transition.
+@SETTINGS
+@given(
+    st.one_of(st.just(Graph((), ())), loop_graphs()).flatmap(
+        lambda g: st.tuples(
+            st.just(g),
+            st.lists(st.integers(0, 4), min_size=len(g.edges), max_size=len(g.edges)),
+            st.integers(0, 4),
+            st.none() | st.integers(0, 8),
+        )
+    )
+)
+def test_packed_state_matches_the_tuple_state(case):
+    g, caps, first, last = case
+    counts, used = _count(g, caps, first, last, None)
+    assert (counts, used) == tuple_state_count(g, caps, first, last, None)
+    for budget in {used // 2, used - 1} if used else ():
+        with pytest.raises(BudgetExceededError) as packed:
+            _count(g, caps, first, last, budget)
+        with pytest.raises(BudgetExceededError) as tupled:
+            tuple_state_count(g, caps, first, last, budget)
+        assert packed.value.consumed == tupled.value.consumed
 
 
 def decompose_recursive(elem, generators):

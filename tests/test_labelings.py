@@ -1,6 +1,7 @@
 """Labelings, magic tests, and exhaustive enumeration."""
 
 import itertools
+from math import comb
 
 import pytest
 
@@ -29,7 +30,7 @@ from magiclab import (
     path_graph,
     vertex_sum,
 )
-from magiclab.labelings import _assignment_order
+from magiclab.labelings import _assignment_order, _count_plan, _steps
 
 
 def brute_magic_k(g, k):
@@ -223,6 +224,25 @@ class TestCountMagicK:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             count_magic_k(make_gn(2), -1)
+
+
+class TestFrontierSlots:
+    K33 = Graph(tuple("abcxyz"), tuple((u, v) for u in "abc" for v in "xyz"))
+
+    def slots(self, g):
+        plan = _count_plan(_steps(g, [1] * len(g.edges))[1])
+        return 1 + max(p for _cap, bounds, _closes in plan for p, _after in bounds)
+
+    def test_k33_index_counts_are_semimagic_squares(self):
+        # An index-t labeling of K_{3,3} is a 3x3 semimagic square with line
+        # sum t; MacMahon's count of those is a sum of three binomials.
+        for t in range(21):
+            expected = comb(t + 4, 4) + comb(t + 3, 4) + comb(t + 2, 4)
+            assert count_index_k(self.K33, t) == expected
+
+    def test_one_slot_per_open_vertex(self):
+        assert self.slots(make_gn(5)) == 4
+        assert self.slots(self.K33) == 5
 
 
 class TestCountSeries:

@@ -227,6 +227,14 @@ class TestFit:
         with pytest.raises(ValueError, match="exact"):
             fit_quasipolynomial([1, 1, 0.5], 1, 0)
 
+    @pytest.mark.parametrize("period, degree", [(1.5, 0), (2.0, 0), (1, 0.5)])
+    def test_non_integer_period_or_degree_rejected(self, period, degree):
+        with pytest.raises(ValueError, match="period and degree must be integers"):
+            fit_quasipolynomial([1] * 6, period, degree)
+
+    def test_true_period_is_one(self):
+        assert fit_quasipolynomial([1] * 6, True, 0).period == 1
+
     def test_round_trip_on_every_sample(self):
         samples = [f_n(3, k) for k in range(24)]
         q = fit_quasipolynomial(samples, 3, 4)

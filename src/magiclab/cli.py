@@ -103,15 +103,14 @@ def _cmd_ehrhart(args) -> int:
     budget = _budget(args)
     q = quasipolynomials.ehrhart_of_polytope(g, args.polytope, budget=budget)
     den = geometry.polytope_denominator(g, args.polytope, budget=budget)
-    mqp = q.period  # ehrhart_of_polytope minimizes the period
     if args.format == "json":
         payload = json.loads(q.to_json())
-        payload.update(polytope=args.polytope, denominator=den, minimum_quasiperiod=mqp)
-        _print_json(payload)
+        payload.update(polytope=args.polytope, denominator=den)
+        _print_json({**payload, "minimum_quasiperiod": q.period})
     else:
         print(f"polytope: {args.polytope}")
         print(f"denominator: {den}")
-        print(f"minimum quasiperiod: {mqp}")
+        print(f"minimum quasiperiod: {q.period}")
         print(f"period: {q.period}")
         for r, cs in enumerate(q.constituents):
             print(f"residue {r}: {_format_polynomial(cs)}")

@@ -1,5 +1,17 @@
 """The package's own exception type.  Bad input of every kind, a labeling
-``stanley_decompose`` cannot split included, raises ValueError instead."""
+``stanley_decompose`` cannot split included, raises ValueError instead;
+every integer argument passes ``as_ints``, the one integer gate."""
+
+import operator
+
+
+def as_ints(values, what: str) -> tuple[int, ...]:
+    # operator.index accepts ints (and int-like types, True as 1) only,
+    # so a float is an error instead of being truncated by int().
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
 
 
 class BudgetExceededError(RuntimeError):

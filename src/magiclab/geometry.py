@@ -118,8 +118,7 @@ def _extreme_rays(eqs, rows, n: int, budget: int | None) -> list[tuple[int, ...]
 def _enumerate_vertices(
     g: Graph, kind: str, budget: int | None
 ) -> list[tuple[int, ...]]:
-    # The extreme rays (t, x) with t > 0 behind polytope_vertices; see its
-    # docstring.
+    # The extreme rays (t, x) behind polytope_vertices; see its docstring.
     n = len(g.edges) + 1
     sums = []
     for v in g.vertices:
@@ -136,7 +135,9 @@ def _enumerate_vertices(
     rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     if kind == "P":
         rows += [tuple((j == 0) - (j == e) for j in range(n)) for e in range(1, n)]
-    return [r for r in _extreme_rays(eqs, rows, n, budget) if r[0] > 0]
+    # No extreme ray has t = 0: P has 0 <= x_e <= t, and in Q every edge
+    # lies in a vertex sum equal to t, so t = 0 forces x = 0 in both.
+    return _extreme_rays(eqs, rows, n, budget)
 
 
 @lru_cache(maxsize=64)

@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import as_ints
+
 Edge = tuple[str, str]
 
 
@@ -89,7 +91,7 @@ def make_gn(n: int) -> Graph:
     rungs (a_i, b_i) for i = 1..n, then the spokes (x, a_i), then the
     spokes (y, b_i).
     """
-    if n < 2:
+    if as_ints((n,), "n")[0] < 2:
         raise ValueError("n must be at least 2")
     avs = [f"a{i}" for i in range(1, n + 1)]
     bvs = [f"b{i}" for i in range(1, n + 1)]
@@ -105,6 +107,7 @@ def make_gnp(n: int, p: int) -> Graph:
     Has 2pn + 2 vertices and n(2p+1) edges; p = 1 gives the same shape
     as ``make_gn(n)``.  Edges are ordered path by path from x to y.
     """
+    n, p = as_ints((n, p), "n and p")
     if n < 2:
         raise ValueError("n must be at least 2")
     if p < 1:
@@ -121,14 +124,14 @@ def make_gnp(n: int, p: int) -> Graph:
 
 def bouquet(loops: int = 2) -> Graph:
     """Single vertex carrying the given number of loops."""
-    if loops < 0:
+    if as_ints((loops,), "loop count")[0] < 0:
         raise ValueError("loop count must be nonnegative")
     return Graph(("v",), tuple(("v", "v") for _ in range(loops)))
 
 
 def path_graph(num_vertices: int) -> Graph:
     """Path v1 - v2 - ... - v_n."""
-    if num_vertices < 1:
+    if as_ints((num_vertices,), "vertex count")[0] < 1:
         raise ValueError("a path needs at least one vertex")
     vs = [f"v{i}" for i in range(1, num_vertices + 1)]
     return Graph(tuple(vs), tuple(zip(vs, vs[1:])))
@@ -136,7 +139,7 @@ def path_graph(num_vertices: int) -> Graph:
 
 def cycle_graph(num_vertices: int) -> Graph:
     """Cycle v1 - v2 - ... - v_n - v1."""
-    if num_vertices < 3:
+    if as_ints((num_vertices,), "vertex count")[0] < 3:
         raise ValueError("a cycle needs at least three vertices")
     vs = [f"v{i}" for i in range(1, num_vertices + 1)]
     return Graph(tuple(vs), tuple(zip(vs, vs[1:] + vs[:1])))
@@ -197,8 +200,8 @@ def _matchings(g: Graph, caps):
     if not g.vertices:
         yield ()
         return
-    for _, buf in _labelings(g, caps, (1,), None):
-        yield tuple(i for i, x in enumerate(buf) if x)
+    for _, labels in _labelings(g, caps, (1,), None):
+        yield tuple(i for i, x in enumerate(labels) if x)
 
 
 def perfect_matchings(g: Graph, *, loops_cover: bool = True) -> list[tuple[int, ...]]:

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, as_ints
 from .graphs import Graph, graph_hash, make_gn
 
 
@@ -19,20 +18,11 @@ class Labeling:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", _as_ints(self.labels, "labels"))
+        object.__setattr__(self, "labels", as_ints(self.labels, "labels"))
         if len(self.labels) != len(self.graph.edges):
             raise ValueError("label vector length must equal the edge count")
         if any(x < 0 for x in self.labels):
             raise ValueError("labels must be nonnegative")
-
-
-def _as_ints(values, what: str) -> tuple[int, ...]:
-    # operator.index accepts ints (and int-like types) only, so a float
-    # label or cap is an error instead of being truncated by int().
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        raise ValueError(f"{what} must be integers") from None
 
 
 def vertex_sum(lab: Labeling, v: str) -> int:
@@ -79,7 +69,7 @@ def li_matching(n: int, i: int) -> Labeling:
     rung i; the labeling is magic of index 1.
     """
     g = make_gn(n)
-    if not 1 <= i <= n:
+    if not 1 <= as_ints((i,), "i")[0] <= n:
         raise ValueError(f"i must be between 1 and {n}")
     labels = [0] * (3 * n)
     for j in range(1, n + 1):
@@ -150,15 +140,15 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
 
     Targets are taken in turn from ``indices``, or are every index the
     bounds allow when it is None.  Each edge label lies between
-    ``floors`` (zero when None) and ``caps``.  Yields ``(index, buffer)``
-    per solution; the label buffer (coordinate order) is internal, so copy it.
-    ``budget`` caps the label values offered over the whole search,
-    counted per position before any value is tried.
+    ``floors`` (zero when None) and ``caps``.  Yields ``(index, labels)``
+    per solution, the labels a tuple in coordinate order.  ``budget``
+    caps the label values offered over the whole search, counted per
+    position before any value is tried.
 
     The edges are assigned in the order of ``_steps`` with an explicit
     stack: ``top[t]`` is the largest value position t may take, and the
-    current value lives in the buffer itself.  Floors are a shift: the
-    buffer holds offsets above them, each vertex sum starts at its
+    current value lives in the label list itself.  Floors are a shift:
+    the list holds offsets above them, each vertex sum starts at its
     floors' sum, and the floors are added back to each solution on output.
     """
     base = [0] * len(g.vertices)
@@ -204,9 +194,9 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
                     sums[vi] += lo
                 t += 1
             else:
-                yield target, labels if floors is None else [
+                yield target, tuple(labels) if floors is None else tuple(
                     x + f for x, f in zip(labels, floors)
-                ]
+                )
             # Back up to the deepest position with a value left to try.
             t -= 1
             while t >= 0:
@@ -226,8 +216,8 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
 
 def _collect(g: Graph, caps, indices, budget: int | None, floors=None) -> list[Labeling]:
     return [
-        Labeling(g, tuple(buf))
-        for _, buf in _labelings(g, caps, indices, budget, floors)
+        Labeling(g, labels)
+        for _, labels in _labelings(g, caps, indices, budget, floors)
     ]
 
 
@@ -321,7 +311,7 @@ def count_series(
     of the transitions of one ``count_magic_k`` per k.  ``budget`` caps
     the state transitions of every pass of the sweep together.
     """
-    (kmax,) = _as_ints((kmax,), "kmax")
+    (kmax,) = as_ints((kmax,), "kmax")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     magic, index = [], []
@@ -338,7 +328,7 @@ def count_series(
 
 
 def _uniform_caps(g: Graph, k: int) -> list[int]:
-    (k,) = _as_ints((k,), "k")
+    (k,) = as_ints((k,), "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     return [k] * len(g.edges)
@@ -387,7 +377,7 @@ def count_index_k(g: Graph, k: int, *, budget: int | None = None) -> int:
 
 
 def _edge_bounds(g: Graph, values, what: str) -> tuple[int, ...]:
-    values = _as_ints(values, what)
+    values = as_ints(values, what)
     if len(values) != len(g.edges):
         raise ValueError(f"{what} length must equal the edge count")
     if any(c < 0 for c in values):

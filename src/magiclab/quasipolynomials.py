@@ -10,10 +10,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 from numbers import Rational, Real
 
 from . import geometry, labelings
+from .errors import as_ints
 from .graphs import Graph
 
 Coeffs = tuple[Fraction, ...]
@@ -22,18 +24,16 @@ Coeffs = tuple[Fraction, ...]
 def binomial(j: int, m: int) -> int:
     """Binomial coefficient C(j, m) with C(j, m) = 0 for 0 <= j < m.
 
-    Negative j is rejected: the summations this feeds never reach below
-    zero, so no convention for negative upper entries is chosen.
+    Negative j is rejected (``comb`` raises ValueError): the summations
+    this feeds never reach below zero, so no convention for negative
+    upper entries is chosen.
     """
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return comb(j, m)
+    return comb(*as_ints((j, m), "j and m"))
 
 
 def f_n(n: int, k: int) -> int:
     """Sum of C(j, n) over 0 <= j <= k with j congruent to k mod n."""
+    n, k = as_ints((n, k), "n and k")
     if n < 1:
         raise ValueError("n must be at least 1")
     if k < 0:
@@ -43,6 +43,7 @@ def f_n(n: int, k: int) -> int:
 
 def closed_form_mn(n: int, k: int) -> int:
     """Closed-form count of magic k-labelings of ``make_gn(n)``."""
+    n, k = as_ints((n, k), "n and k")
     if n < 2:
         raise ValueError("n must be at least 2")
     if k < 0:
@@ -56,6 +57,7 @@ def iterated_difference_of_fn(n: int, i: int, t: int) -> int:
     Equals the sum of C(j, n-i) over 0 <= j <= t with j congruent to
     t mod n.
     """
+    n, i, t = as_ints((n, i, t), "n, i and t")
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= i <= n:
@@ -98,21 +100,29 @@ def _eval_poly(coeffs: Coeffs, t: int) -> Fraction:
 
 @dataclass(frozen=True)
 class Quasipolynomial:
-    """Period plus one coefficient tuple (low degree first) per residue."""
+    """Period plus one coefficient tuple (low degree first) per residue.
+
+    Construction keeps only the minimum period: the least divisor of the
+    given period under which the trimmed constituents repeat.  So
+    ``period`` is always the minimum quasiperiod, and ``==`` means the
+    same function.
+    """
 
     period: int
     constituents: tuple[Coeffs, ...]
 
     def __post_init__(self):
-        (period,) = labelings._as_ints((self.period,), "period")
-        object.__setattr__(self, "period", period)
+        (period,) = as_ints((self.period,), "period")
         if period < 1:
             raise ValueError("period must be positive")
-        if len(self.constituents) != self.period:
+        if len(self.constituents) != period:
             raise ValueError("need exactly one constituent per residue")
-        object.__setattr__(
-            self, "constituents", tuple(_trim(c) for c in self.constituents)
-        )
+        parts = tuple(_trim(c) for c in self.constituents)
+        # The least d such that parts is parts[:d] repeated; the repeats of
+        # a d that does not divide the period fall short.
+        d = next(d for d in range(1, period + 1) if parts[:d] * (period // d) == parts)
+        object.__setattr__(self, "period", d)
+        object.__setattr__(self, "constituents", parts[:d])
 
     @property
     def degree(self) -> int:
@@ -120,43 +130,22 @@ class Quasipolynomial:
         return max(len(c) for c in self.constituents) - 1
 
     def evaluate(self, t: int) -> Fraction:
+        (t,) = as_ints((t,), "t")
         return _eval_poly(self.constituents[t % self.period], t)
 
     def difference(self) -> Quasipolynomial:
-        """The quasipolynomial t -> F(t+1) - F(t), with minimized period."""
+        """The quasipolynomial t -> F(t+1) - F(t)."""
         s = self.period
         parts = []
         for r in range(s):
             shifted = _shift_poly(self.constituents[(r + 1) % s])
-            cur = self.constituents[r]
-            n = max(len(shifted), len(cur))
-            parts.append(
-                tuple(
-                    (shifted[i] if i < len(shifted) else Fraction(0))
-                    - (cur[i] if i < len(cur) else Fraction(0))
-                    for i in range(n)
-                )
-            )
-        return Quasipolynomial(s, tuple(parts)).normalized()
+            pairs = zip_longest(shifted, self.constituents[r], fillvalue=0)
+            parts.append(tuple(a - b for a, b in pairs))
+        return Quasipolynomial(s, tuple(parts))
 
     def minimum_quasiperiod(self) -> int:
-        """Least divisor of the period under which constituents repeat."""
-        for cand in range(1, self.period + 1):
-            if self.period % cand:
-                continue
-            if all(
-                self.constituents[r] == self.constituents[(r + cand) % self.period]
-                for r in range(self.period)
-            ):
-                return cand
+        """The least period, which construction keeps in ``period``."""
         return self.period
-
-    def normalized(self) -> Quasipolynomial:
-        """Equivalent quasipolynomial whose period is the minimum one."""
-        mqp = self.minimum_quasiperiod()
-        if mqp == self.period:
-            return self
-        return Quasipolynomial(mqp, self.constituents[:mqp])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -198,7 +187,7 @@ def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
     guess raises ValueError instead of returning a bad quasipolynomial.
     Needs at least period * (degree + 2) samples.
     """
-    period, degree = labelings._as_ints((period, degree), "period and degree")
+    period, degree = as_ints((period, degree), "period and degree")
     if period < 1:
         raise ValueError("period must be positive")
     if degree < 0:
@@ -241,7 +230,8 @@ def ehrhart_of_polytope(
     The vertex denominators fix the fitting period and the vertex set's
     affine rank the degree; counts for k = 0 .. K = period*(degree+2)-1
     come from the counting dynamic program, and the validated fit is
-    returned with its period minimized.  For P they come from one
+    returned; like every ``Quasipolynomial`` it keeps only its minimum
+    period.  For P they come from one
     ``labelings.count_series`` sweep (each pass at an index up to k runs
     once, not once per k).  For Q they come from one DP call at cap K
     over the targets 0..K: a cap of at least t never binds at target t,
@@ -259,4 +249,4 @@ def ehrhart_of_polytope(
         # No target above the least vertex capacity runs; those count 0.
         values = labelings._count(g, [top] * len(g.edges), 0, top, budget)[0]
         values += [0] * (top + 1 - len(values))
-    return fit_quasipolynomial(values, den, dim).normalized()
+    return fit_quasipolynomial(values, den, dim)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import geometry
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, as_ints
 from .graphs import Edge, Graph, forced_max_edge, is_bipartite
 from .labelings import (
     Labeling,
@@ -32,11 +32,9 @@ class SemigroupElement:
     height: int
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "height", operator.index(self.height))
-        except TypeError:
-            raise ValueError("height must be an integer") from None
-        if self.height < 0:
+        (height,) = as_ints((self.height,), "height")
+        object.__setattr__(self, "height", height)
+        if height < 0:
             raise ValueError("height must be nonnegative")
 
 
@@ -121,6 +119,7 @@ def verify_completely_fundamental(
     separately: one search per (m, h) box for "P", one per m for "Q".
     """
     validate_element(g, kind, elem)
+    (m_max,) = as_ints((m_max,), "m_max")
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     if elem.height == 0 and not any(elem.labeling.labels):
@@ -221,7 +220,7 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     g = lab.graph
     allowed = (1,) if is_bipartite(g) is not None else (1, 2)
     caps = [min(x, 2) for x in lab.labels]
-    pool = sorted((t, tuple(p)) for t, p in _labelings(g, caps, allowed, budget))
+    pool = sorted(_labelings(g, caps, allowed, budget))
     pieces = _extract(pool, lab.labels, idx, budget)
     if pieces is None:
         raise ValueError(

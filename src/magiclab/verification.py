@@ -181,11 +181,16 @@ def check_minimum_quasiperiod_values() -> str | None:
 
 
 def check_quasiperiod_divides_denominator() -> str | None:
+    # The fitted period, the denominator, is a multiple of the least one by
+    # construction; so test it on one more period past the fit's samples.
     for name, g in corpus():
         den = geometry.polytope_denominator(g, "P")
-        mqp = _ehrhart_p(g).minimum_quasiperiod()
-        if den % mqp:
-            return f"{name}: quasiperiod {mqp} does not divide denominator {den}"
+        top = den * (geometry.polytope_dimension(g, "P") + 2) - 1
+        q = _ehrhart_p(g)
+        for t in range(top + 1, top + den + 1):
+            got = labelings.count_magic_k(g, t)
+            if got != q.evaluate(t):
+                return f"{name} k={t}: counted {got}, fitted {q.evaluate(t)}"
     return None
 
 

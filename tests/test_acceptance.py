@@ -6,7 +6,7 @@ line per criterion; ``magiclab verify-paper`` prints the same checks.
 
 import pytest
 
-from magiclab import verification
+from magiclab import Quasipolynomial, verification
 
 CRITERIA = verification.check_names()
 
@@ -33,3 +33,18 @@ def test_criterion(name):
     print(f"{'PASS' if result.passed else 'FAIL'}: {name}"
           + (f" ({result.detail})" if result.detail else ""))
     assert result.passed, f"{name}: {result.detail}"
+
+
+def test_a_wrong_fit_fails_the_divides_denominator_check(monkeypatch):
+    # Each fit is perturbed at its residue 0, which one more period of
+    # counts past the fit's samples always reaches.
+    fit = verification._ehrhart_p
+
+    def perturbed(g):
+        q = fit(g)
+        first, *rest = q.constituents
+        return Quasipolynomial(q.period, ((first[0] + 1, *first[1:]), *rest))
+
+    monkeypatch.setattr(verification, "_ehrhart_p", perturbed)
+    result = verification.run_check("quasiperiod-divides-denominator")
+    assert not result.passed and "counted" in result.detail

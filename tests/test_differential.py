@@ -49,6 +49,7 @@ from magiclab import (
     stanley_decompose,
     verify_completely_fundamental,
 )
+from magiclab.geometry import _polytope_facts
 from magiclab.labelings import _count, _labelings, _steps
 from magiclab.semigroups import _is_multiple, validate_element
 from test_geometry import brute_vertices, rref
@@ -196,6 +197,8 @@ def affine_rank(points):
 @example(path_graph(3))
 def test_vertices_match_the_subset_scan(g):
     for kind in "PQ":
+        # t = 0 forces x = 0, so the double description finds no ray there.
+        assert all(t > 0 for t, *_ in _polytope_facts(g, kind, None)[0])
         want = brute_vertices(g, kind)  # None past 2,000 subsets
         if want is not None:
             assert polytope_vertices(g, kind) == want
@@ -221,8 +224,9 @@ def test_cf_elements_are_the_scaled_vertices(g):
 @given(graphs_with_bounds())
 def test_search_reports_each_solution_index(gcf):
     g, caps, floors = gcf
-    for index, buf in _labelings(g, caps, None, None, floors):
-        assert is_magic(Labeling(g, tuple(buf))) == index
+    for index, labels in _labelings(g, caps, None, None, floors):
+        assert type(labels) is tuple
+        assert is_magic(Labeling(g, labels)) == index
 
 
 # The counting DP against the search it replaced for counting; the graph

@@ -8,6 +8,9 @@ its rays run on integers alone and never name ``Fraction``.  No function
 calls itself by name, so no input can reach the recursion limit.  Every
 name the package exports is used by another module or by a test.  Every
 ``budget`` parameter with a default defaults to None, which means no cap.
+Only ``errors.py`` names ``operator.index``: integer input is judged by
+its one gate, ``errors.as_ints``, and each public callable that takes an
+integer raises ValueError for a float.
 """
 
 import ast
@@ -16,6 +19,22 @@ from pathlib import Path
 import pytest
 
 import magiclab
+from magiclab import (
+    Quasipolynomial,
+    binomial,
+    bouquet,
+    cf_elements,
+    closed_form_mn,
+    cycle_graph,
+    f_n,
+    iterated_difference_of_fn,
+    li_matching,
+    lstar,
+    make_gn,
+    make_gnp,
+    path_graph,
+    verify_completely_fundamental,
+)
 
 MODULES = sorted(Path(magiclab.__file__).parent.glob("*.py"))
 FLOAT_MATH = {"sqrt", "log", "exp", "pow"}
@@ -200,3 +219,60 @@ def test_budget_detector_catches():
         "def h(*, budget: int | None = None):\n    pass\n"
     )
     assert budget_defaults(ast.parse(source)) == []
+
+
+def index_uses(tree: ast.AST) -> list[str]:
+    """Places that name ``operator.index``, as an attribute or an import."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "index"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "operator"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "operator"
+            and any(alias.name == "index" for alias in node.names)
+        ):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_errors_names_operator_index(path):
+    uses = index_uses(ast.parse(path.read_text(), str(path)))
+    assert bool(uses) == (path.name == "errors.py")
+
+
+def test_index_detector_catches():
+    assert index_uses(ast.parse("import operator\nx = operator.index(y)"))
+    assert index_uses(ast.parse("from operator import add, index"))
+    source = "import operator\nx = operator.le(a, b) + s.index(c) + index"
+    assert index_uses(ast.parse(source)) == []
+
+
+G3 = make_gn(3)
+NON_INTEGER_CALLS = {
+    "make_gn": lambda: make_gn(2.5),
+    "make_gnp": lambda: make_gnp(2, 1.0),
+    "bouquet": lambda: bouquet(2.0),
+    "path_graph": lambda: path_graph(3.0),
+    "cycle_graph": lambda: cycle_graph(3.0),
+    "lstar": lambda: lstar(3.0),
+    "li_matching": lambda: li_matching(3, 1.0),
+    "binomial": lambda: binomial(2.0, 1),
+    "f_n": lambda: f_n(1.5, 3),
+    "closed_form_mn": lambda: closed_form_mn(2, 1.0),
+    "iterated_difference_of_fn": lambda: iterated_difference_of_fn(2.0, 0, 1),
+    "verify_completely_fundamental": lambda: verify_completely_fundamental(
+        G3, "P", cf_elements(G3, "P")[-1], m_max=2.0
+    ),
+    "evaluate": lambda: Quasipolynomial(1, ((1,),)).evaluate(2.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS)
+def test_a_non_integer_argument_raises_value_error(call):
+    with pytest.raises(ValueError, match="must be integers"):
+        call()

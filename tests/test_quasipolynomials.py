@@ -138,6 +138,16 @@ class TestConstruction:
         q = Quasipolynomial(1, ((1, F(1, 3), "1/2"),))
         assert q.constituents == ((F(1), F(1, 3), F(1, 2)),)
 
+    def test_equal_functions_compare_equal(self):
+        a, b = (F(1), F(1, 2)), (F(2),)
+        assert Quasipolynomial(4, (a, b, a, b)) == Quasipolynomial(2, (a, b))
+        # Trailing zeros are trimmed before the period is cut.
+        assert Quasipolynomial(2, ((1, 0), (1,))) == Quasipolynomial(1, ((1,),))
+
+    def test_fit_keeps_only_the_minimum_period(self):
+        q = fit_quasipolynomial([1] * 12, 3, 2)
+        assert q.period == 1 and q.constituents == ((F(1),),)
+
 
 class TestDifference:
     def test_square(self):
@@ -277,7 +287,7 @@ class TestMinimumQuasiperiod:
     def test_padded_period_collapses(self):
         q = Quasipolynomial(4, ((F(1),), (F(2),), (F(1),), (F(2),)))
         assert q.minimum_quasiperiod() == 2
-        assert q.normalized().period == 2
+        assert q.period == 2
 
     def test_fitted_g4(self):
         samples = [count_magic_k(make_gn(4), k) for k in range(21)]
@@ -412,6 +422,12 @@ class TestJson:
     def test_strings_are_exact(self):
         text = G4_EXPECTED.to_json()
         assert "25/18" in text and "10/9" in text
+
+    def test_a_repeating_period_is_cut_to_the_least(self):
+        text = '{"period":2,"constituents":[["1","2"],["1","2"]]}'
+        q = Quasipolynomial.from_json(text)
+        assert q.period == 1
+        assert q.to_json() == '{"period":1,"constituents":[["1","2"]]}'
 
     # None of these is what to_json writes.
     BAD = {

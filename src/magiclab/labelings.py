@@ -25,6 +25,15 @@ class Labeling:
             raise ValueError("labels must be nonnegative")
 
 
+def _made(g: Graph, labels: tuple[int, ...]) -> Labeling:
+    """A ``Labeling`` of a tuple the library made of nonnegative ints, one
+    per edge of g, without the checks that outside input goes through."""
+    lab = object.__new__(Labeling)
+    object.__setattr__(lab, "graph", g)
+    object.__setattr__(lab, "labels", labels)
+    return lab
+
+
 def vertex_sum(lab: Labeling, v: str) -> int:
     """Sum of the labels on edges at v; a loop contributes its label once."""
     if v not in lab.graph.incidence:
@@ -215,10 +224,9 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
 
 
 def _collect(g: Graph, caps, indices, budget: int | None, floors=None) -> list[Labeling]:
-    return [
-        Labeling(g, labels)
-        for _, labels in _labelings(g, caps, indices, budget, floors)
-    ]
+    """The search's solutions in its order, built by ``_made``: the search
+    yields tuples of nonnegative ints in coordinate order."""
+    return [_made(g, t) for _, t in _labelings(g, caps, indices, budget, floors)]
 
 
 def _count_plan(steps):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from . import geometry
@@ -19,6 +20,7 @@ from .graphs import Edge, Graph, forced_max_edge, is_bipartite
 from .labelings import (
     Labeling,
     _labelings,
+    _made,
     enumerate_index_k,
     enumerate_magic_bounded,
     is_magic,
@@ -64,7 +66,7 @@ def cf_elements(
     cap).  Sorted by height then labels for a deterministic order.
     """
     rays = geometry._polytope_facts(g, kind, budget)[0]
-    return [SemigroupElement(Labeling(g, r[1:]), r[0]) for r in rays]
+    return [SemigroupElement(_made(g, r[1:]), r[0]) for r in rays]
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def verify_completely_fundamental(
                         m_max=m_max,
                         m=m,
                         b=SemigroupElement(b_lab, h_b),
-                        c=SemigroupElement(Labeling(g, c_labels), total_h - h_b),
+                        c=SemigroupElement(_made(g, c_labels), total_h - h_b),
                     )
     return CFVerdict(refuted=False, m_max=m_max)
 
@@ -210,7 +212,9 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     the hub leaves three odd components, so there is no index-1 piece.
     ``budget`` caps the search nodes of the candidate search at the
     allowed indices and, separately, the number of candidate pieces the
-    extraction tries.
+    extraction tries.  ``_pool`` memoises the candidates per (graph,
+    min(lab, 2), budget): a hit searches no nodes, and a budget error is
+    not cached, so each call returns or raises as a fresh search would.
     """
     idx = is_magic(lab)
     if idx is None:
@@ -218,16 +222,23 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     if idx == 0:
         return []
     g = lab.graph
-    allowed = (1,) if is_bipartite(g) is not None else (1, 2)
-    caps = [min(x, 2) for x in lab.labels]
-    pool = sorted(_labelings(g, caps, allowed, budget))
+    pool = _pool(g, tuple(min(x, 2) for x in lab.labels), budget)
     pieces = _extract(pool, lab.labels, idx, budget)
     if pieces is None:
         raise ValueError(
             "labeling has no decomposition into magic labelings of index 1 and 2"
         )
-    shared = {p: Labeling(g, p) for p in set(pieces)}
+    shared = {p: _made(g, p) for p in set(pieces)}
     return [shared[p] for p in sorted(pieces)]
+
+
+@lru_cache(maxsize=512)
+def _pool(g: Graph, caps: tuple[int, ...], budget: int | None):
+    """The Stanley candidates at most ``caps``, as sorted (index, labels),
+    memoised per positional (graph, caps, budget): 512 entries hold the
+    241 keys of gn(5)'s index 1-9 labelings.  Errors are not cached."""
+    allowed = (1,) if is_bipartite(g) is not None else (1, 2)
+    return tuple(sorted(_labelings(g, caps, allowed, budget)))
 
 
 def _extract(pool, labels, idx, budget) -> list[tuple[int, ...]] | None:

@@ -51,7 +51,7 @@ from magiclab import (
 )
 from magiclab.geometry import _polytope_facts
 from magiclab.labelings import _count, _labelings, _steps
-from magiclab.semigroups import _is_multiple, validate_element
+from magiclab.semigroups import _is_multiple, _pool, validate_element
 from test_geometry import brute_vertices, rref
 from test_graphs import brute_perfect_matchings
 from test_semigroups import hub_labeling
@@ -560,3 +560,23 @@ def test_stanley_fails_exactly_when_no_decomposition_exists(lab):
     else:
         assert exists is not None
         assert [sum(col) for col in zip(*(p.labels for p in pieces))] == list(lab.labels)
+
+
+# The memoised Stanley pool against the bounded enumeration, at two keys
+# of one graph (so a memo keyed by the graph alone would fail), each
+# asked for twice (a miss, then a hit).
+@SETTINGS
+@given(stanley_cases())
+@example(hub_labeling())
+def test_stanley_pool_matches_the_bounded_enumeration(lab):
+    g = lab.graph
+    allowed = (1,) if is_bipartite(g) is not None else (1, 2)
+    for top in (2, 1):
+        key = tuple(min(x, top) for x in lab.labels)
+        want = sorted(
+            (is_magic(p), p.labels)
+            for p in enumerate_magic_bounded(g, key)
+            if is_magic(p) in allowed
+        )
+        assert list(_pool(g, key, None)) == want
+        assert list(_pool(g, key, None)) == want

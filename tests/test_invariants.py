@@ -10,7 +10,9 @@ name the package exports is used by another module or by a test.  Every
 ``budget`` parameter with a default defaults to None, which means no cap.
 Only ``errors.py`` names ``operator.index``: integer input is judged by
 its one gate, ``errors.as_ints``, and each public callable that takes an
-integer raises ValueError for a float.
+integer raises ValueError for a float.  Only ``labelings._made`` builds an
+object past its checks (through ``__new__``), so the library has one
+unchecked path for the labelings it makes.
 """
 
 import ast
@@ -250,6 +252,38 @@ def test_index_detector_catches():
     assert index_uses(ast.parse("from operator import add, index"))
     source = "import operator\nx = operator.le(a, b) + s.index(c) + index"
     assert index_uses(ast.parse(source)) == []
+
+
+def new_uses(tree: ast.AST) -> list[str]:
+    """The function around each use of a ``__new__`` attribute
+    (``<module>`` outside any function)."""
+    found = []
+    stack = [(tree, "<module>")]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Attribute) and node.attr == "__new__":
+            found.append(where)
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_only_made_builds_unchecked_objects():
+    uses = {p.name: new_uses(ast.parse(p.read_text(), str(p))) for p in MODULES}
+    assert {name: found for name, found in uses.items() if found} == {
+        "labelings.py": ["_made"]
+    }
+
+
+def test_new_detector_catches():
+    source = (
+        "def f(g, t):\n    return object.__new__(Labeling)\n"
+        "class A:\n    def g(self):\n        return super().__new__(A)\n"
+        "x = Labeling.__new__(Labeling)\n"
+    )
+    assert sorted(new_uses(ast.parse(source))) == ["<module>", "f", "g"]
+    assert new_uses(ast.parse("def f(g, t):\n    return Labeling(g, t)")) == []
 
 
 G3 = make_gn(3)

@@ -30,7 +30,7 @@ from magiclab import (
     path_graph,
     vertex_sum,
 )
-from magiclab.labelings import _assignment_order, _count_plan, _steps
+from magiclab.labelings import _assignment_order, _count_plan, _labelings, _made, _steps
 
 
 def brute_magic_k(g, k):
@@ -63,6 +63,15 @@ class TestLabelingType:
         # int() would truncate these to (1, 0, 0, 0, 0, 0)
         with pytest.raises(ValueError):
             Labeling(make_gn(2), (1.7, 0, 0, 0, 0, 0.2))
+
+    def test_made_equals_the_checked_labeling(self):
+        # The unchecked constructor of search output builds the same value.
+        for g, k in ((make_gn(3), 3), (bouquet(2), 2), (path_graph(4), 2)):
+            solutions = list(_labelings(g, [k] * len(g.edges), None, None))
+            assert solutions
+            for _, labels in solutions:
+                made, checked = _made(g, labels), Labeling(g, labels)
+                assert made == checked and hash(made) == hash(checked)
 
 
 class TestVertexSum:

@@ -30,7 +30,7 @@ from magiclab import (
     vertex_sum,
     verify_completely_fundamental,
 )
-from magiclab.semigroups import heights_lcm, validate_element
+from magiclab.semigroups import _pool, heights_lcm, validate_element
 from magiclab.verification import bridged_blocks
 
 
@@ -343,6 +343,40 @@ class TestStanleyDecompose:
             stanley_decompose(lab, budget=1000)
         assert (err.value.phase, err.value.consumed) == ("Stanley extraction", 1001)
         assert len(stanley_decompose(lab, budget=10**4)) == 2100
+
+    def test_a_repeated_labeling_reuses_its_pool(self):
+        lab = scaled(lstar(3), 2)
+        _pool.cache_clear()
+        first = stanley_decompose(lab)
+        second = stanley_decompose(lab)
+        info = _pool.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first == second
+        assert len(first) == 6
+
+    def test_gn5_searches_one_pool_per_key(self):
+        # The 2,001 labelings of gn(5) of index 1-9 have 241 distinct
+        # min(lab, 2); each pool is searched once and reused after.
+        g = make_gn(5)
+        labs = [lab for k in range(1, 10) for lab in enumerate_index_k(g, k)]
+        _pool.cache_clear()
+        for lab in labs:
+            stanley_decompose(lab)
+        info = _pool.cache_info()
+        assert (len(labs), info.misses, info.hits) == (2001, 241, 1760)
+
+    def test_a_pool_search_over_budget_raises_every_time(self):
+        # The pool at budget None is memoised, but not for budget 5, and
+        # a budget error is not cached: each call searches and raises.
+        lab = scaled(lstar(3), 700)
+        _pool.cache_clear()
+        assert len(stanley_decompose(lab)) == 2100
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError) as err:
+                stanley_decompose(lab, budget=5)
+            assert (err.value.phase, err.value.consumed) == ("search", 6)
+        info = _pool.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 0, 1)
 
 
 class TestCertify:

@@ -229,23 +229,53 @@ def _collect(g: Graph, caps, indices, budget: int | None, floors=None) -> list[L
     return [_made(g, t) for _, t in _labelings(g, caps, indices, budget, floors)]
 
 
+def _bounds(inc, target, caps):
+    """Per-edge label bounds ``(lo, hi)`` within 0..caps under "every
+    vertex sum equals target", or None when some vertex cannot reach it.
+
+    At each vertex (``inc`` lists its edges) an edge needs at least the
+    target minus the most its other edges can give, and may take at most
+    the target minus the least they must give.  One visit leaves a vertex
+    consistent, so the vertices are swept again only while an edge moves
+    after its other end's visit; each move shrinks the total width.
+    """
+    lo, hi = [0] * len(caps), list(caps)
+    seen = [0] * len(caps)
+    sweep, again = 0, True
+    while again:
+        sweep, again = sweep + 1, False
+        for es in inc:
+            least = sum(map(lo.__getitem__, es))
+            most = sum(map(hi.__getitem__, es))
+            if not least <= target <= most:
+                return None
+            up, down = most - target, target - least
+            for ei in es:
+                a, b = lo[ei], hi[ei]
+                if b - a > up or b - a > down:
+                    lo[ei], hi[ei] = max(a, b - up), min(b, a + down)
+                    again = again or seen[ei] == sweep
+                seen[ei] = sweep
+    return lo, hi
+
+
 def _count_plan(steps):
     # The DP state is one int with one base-(target + 1) digit per slot:
     # the partial sum of the open vertex (touched, not yet closed) that
     # holds the slot.  A vertex takes the lowest free slot when its first
     # edge opens it and frees it when its last edge closes it, so there
     # are as many slots as the frontier is wide.  Each step of _steps
-    # becomes the edge's cap, a (slot, capacity left after this edge)
-    # pair per end, and the slots of the ends the edge closes.
+    # becomes the slots of the edge's ends, in order, and the (vertex,
+    # slot) pairs of the ends it closes; the caps do not matter.
     last = {vi: t for t, (_, _, ends) in enumerate(steps) for vi, _ in ends}
     slot: dict[int, int] = {}
     plan = []
-    for t, (_, cap, ends) in enumerate(steps):
+    for t, (_, _, ends) in enumerate(steps):
         for vi, _ in ends:
             if vi not in slot:
                 slot[vi] = min(set(range(len(slot) + 1)) - set(slot.values()))
-        bounds = tuple((slot[vi], after) for vi, after in ends)
-        plan.append((cap, bounds, [slot.pop(vi) for vi, _ in ends if last[vi] == t]))
+        slots = tuple(slot[vi] for vi, _ in ends)
+        plan.append((slots, [(vi, slot.pop(vi)) for vi, _ in ends if last[vi] == t]))
     return plan
 
 
@@ -255,33 +285,42 @@ def _count(
     # Frontier (transfer-matrix) DP, one pass per target from first to
     # last (to the least vertex capacity when None, as no larger target is
     # feasible): the number of labelings of each target that the search
-    # _labelings would yield, without visiting each.  Every edge label is
-    # bounded as in the search; an edge that closes a vertex has no
-    # capacity left there, so its label is forced to the target minus the
-    # vertex's sum, and subtracting target * radix**slot then frees its
-    # digit, so the only state left at the end is 0.  A label adds
-    # ``step`` (the digit weights of the edge's ends) to the state.
-    # ``budget`` caps the state transitions, one per (state, label value),
-    # counted on from the ``used`` of earlier passes; returns the counts
-    # and the transitions used by then.
+    # _labelings would yield, without visiting each.  A target _bounds
+    # rules out counts 0; otherwise labels are offsets above its floors,
+    # and each vertex's digit counts up to its ``full``, the target minus
+    # its floors' sum.  Offsets are bounded as in the search, so an edge
+    # that closes a vertex is forced to full minus the digit, and
+    # subtracting full * radix**slot frees the digit: the only state left
+    # at the end is 0.  An offset adds ``step`` (the digit weights of the
+    # edge's ends) to the state.  ``budget`` caps the state transitions,
+    # one per (state, offset), counted on from the ``used`` of earlier
+    # passes; returns the counts and the transitions used by then.
     capacity, steps = _steps(g, caps)
     least = min(capacity, default=0)
     plan = _count_plan(steps)
+    inc = [g.incidence[v] for v in g.vertices]
     counts = []
     top = least if last is None else min(last, least)
     for target in range(first, top + 1):
+        bounds = _bounds(inc, target, caps)
+        if bounds is None:
+            counts.append(0)
+            continue
+        floors, ceils = bounds
+        full = [target - sum(map(floors.__getitem__, es)) for es in inc]
+        _, steps = _steps(g, [c - f for f, c in zip(floors, ceils)])
         radix = target + 1
         states = {0: 1}
-        for cap, bounds, closes in plan:
-            ends = [(radix**p, after) for p, after in bounds]
-            step = sum(w for w, _ in ends)
-            drop = target * sum(radix**p for p in closes)
+        for (_, width, ends), (slots, closes) in zip(steps, plan):
+            ends = [(radix**p, after, full[vi]) for p, (vi, after) in zip(slots, ends)]
+            step = sum(w for w, _, _ in ends)
+            drop = sum(full[vi] * radix**p for vi, p in closes)
             nxt: dict[int, int] = {}
             get = nxt.get
             for state, mult in states.items():
-                lo, hi = 0, cap
-                for w, after in ends:
-                    need = target - state // w % radix
+                lo, hi = 0, width
+                for w, after, f in ends:
+                    need = f - state // w % radix
                     if need - after > lo:
                         lo = need - after
                     if need < hi:
@@ -315,7 +354,7 @@ def count_series(
     ``count_index_k(g, t)``.  The sweep therefore runs each index pass
     once, and for each k only the passes at the targets above k, which
     the cap does bind: the magic count is the sum of the index counts up
-    to k plus those.  On the Ehrhart sweeps of gn(4..7) that is 39-51%
+    to k plus those.  On the Ehrhart sweeps of gn(4..7) that is 18-33%
     of the transitions of one ``count_magic_k`` per k.  ``budget`` caps
     the state transitions of every pass of the sweep together.
     """
@@ -358,8 +397,9 @@ def count_magic_k(g: Graph, k: int, *, budget: int | None = None) -> int:
 
     Counted by a frontier (transfer-matrix) dynamic program over the
     edges, one pass per candidate index, without visiting each labeling.
-    ``budget`` caps the state transitions: one per (state, label value)
-    tried, summed over every index.
+    An index that its narrowed label ranges rule out (on gn(4) at cap k,
+    any above 4k/3) counts 0 without a pass.  ``budget`` caps the state
+    transitions: one per (state, label value), over every index.
     For every k up to some kmax, ``count_series`` gives the same counts
     and runs each pass at an index up to k only once.
     """

@@ -231,14 +231,14 @@ def ehrhart_of_polytope(
     affine rank the degree; counts for k = 0 .. K = period*(degree+2)-1
     come from the counting dynamic program, and the validated fit is
     returned; like every ``Quasipolynomial`` it keeps only its minimum
-    period.  For P they come from one
-    ``labelings.count_series`` sweep (each pass at an index up to k runs
-    once, not once per k).  For Q they come from one DP call at cap K
-    over the targets 0..K: a cap of at least t never binds at target t,
-    so its pass at t is that of ``count_index_k(g, t)``.  ``budget`` caps
-    the vertex-enumeration pair tests and, separately, the state
-    transitions of all the counts together, so it bounds the sweep's
-    total work; ``None`` means no cap on either.
+    period.  For P they come from one ``labelings.count_series`` sweep
+    (each pass at an index up to k runs once, not once per k).  For Q
+    they come from one DP call at cap K over the targets 0..K: a cap of
+    at least t never binds at target t, so its pass at t is that of
+    ``count_index_k(g, t)``.  Each pass runs on the label bounds its
+    target allows.  ``budget`` caps the vertex-enumeration pair tests
+    and, separately, the state transitions of all the counts together,
+    so it bounds the sweep's total work; ``None`` means no cap on either.
     """
     den = geometry.polytope_denominator(g, kind, budget=budget)
     dim = geometry.polytope_dimension(g, kind, budget=budget)

@@ -135,16 +135,16 @@ class TestSeries:
 
 
     def test_budget_caps_the_whole_sweep(self, g4_path, capsys):
-        # One budget over every pass of the sweep: 311 state transitions for
-        # k = 0..3 on gn(4); four separate count_magic_k calls take 471.
+        # One budget over every pass of the sweep: 212 state transitions for
+        # k = 0..3 on gn(4); four separate count_magic_k calls take 372.
         argv = ["series", "--graph", g4_path, "--kmax", "3", "--with-index"]
-        assert main(argv + ["--budget", "310"]) == 3
+        assert main(argv + ["--budget", "211"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "error: counting exceeded the budget of 310 state transitions (reached 311)"
+            "error: counting exceeded the budget of 211 state transitions (reached 212)"
         )
-        assert main(argv + ["--budget", "311"]) == 0
+        assert main(argv + ["--budget", "212"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "3\t36\t20"
 
 

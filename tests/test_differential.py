@@ -5,7 +5,8 @@ against filtering, the vertex enumeration against the subset scan, the
 CF elements against the scaled vertices, the preclusion class against
 brute-force matchings, the index each search solution is reported with
 against the magic test, the counting DP against the labeling search and
-its packed-int state against a tuple-state copy of the DP, the
+against a tuple-state copy of the DP that bounds labels by their caps
+alone, the per-target label bounds against the search's solutions, the
 height-box CF oracle against a full enumeration of every decomposition
 and its half-height search against every height box, the generator
 decomposition's explicit stack against a recursive search, and the
@@ -50,7 +51,7 @@ from magiclab import (
     verify_completely_fundamental,
 )
 from magiclab.geometry import _polytope_facts
-from magiclab.labelings import _count, _labelings, _steps
+from magiclab.labelings import _bounds, _count, _labelings, _steps
 from magiclab.semigroups import _is_multiple, _pool, validate_element
 from test_geometry import brute_vertices, rref
 from test_graphs import brute_perfect_matchings
@@ -285,12 +286,13 @@ def test_one_call_q_sweep_matches_the_index_counts(g, top):
     assert used == sum(_count(g, [k] * m, k, k, None)[1] for k in range(top + 1))
 
 
-def tuple_state_count(g, caps, first, last, budget):
-    """The counting DP with the tuple state it had before the packed int.
+def tuple_state_count(g, caps, first, last):
+    """The counting DP with a tuple state and no label bounds but the caps.
 
     The state is the tuple of partial sums of the open vertices in the
     order they opened; each step pads the new ends with zeros, adds the
     label to each end and picks out the ends the edge does not close.
+    Every pass runs, whether or not its target can be reached.
     """
     capacity, steps = _steps(g, caps)
     last_step = {vi: t for t, (_, _, ends) in enumerate(steps) for vi, _ in ends}
@@ -316,10 +318,6 @@ def tuple_state_count(g, caps, first, last, budget):
                 if lo > hi:
                     continue
                 used += hi - lo + 1
-                if budget is not None and used > budget:
-                    raise BudgetExceededError.over(
-                        "counting", "state transitions", budget, used
-                    )
                 for x in range(lo, hi + 1):
                     sums = s[:]
                     for p, _after in bounds:
@@ -330,10 +328,10 @@ def tuple_state_count(g, caps, first, last, budget):
     return counts, used
 
 
-# The packed-int DP against the tuple-state DP it replaced: the same
-# states in the same order give the same counts, the same transitions,
-# and a budget one short, or half the transitions, stops both at the
-# same transition.
+# The DP against a tuple-state DP that bounds each label by its cap and
+# the capacity left alone: the same counts, and no more transitions, as
+# the bounds of _bounds only narrow each label's range.  A budget one
+# short stops the DP at its last transition.
 @SETTINGS
 @given(
     st.one_of(st.just(Graph((), ())), loop_graphs()).flatmap(
@@ -348,13 +346,37 @@ def tuple_state_count(g, caps, first, last, budget):
 def test_packed_state_matches_the_tuple_state(case):
     g, caps, first, last = case
     counts, used = _count(g, caps, first, last, None)
-    assert (counts, used) == tuple_state_count(g, caps, first, last, None)
-    for budget in {used // 2, used - 1} if used else ():
-        with pytest.raises(BudgetExceededError) as packed:
-            _count(g, caps, first, last, budget)
-        with pytest.raises(BudgetExceededError) as tupled:
-            tuple_state_count(g, caps, first, last, budget)
-        assert packed.value.consumed == tupled.value.consumed
+    want, most = tuple_state_count(g, caps, first, last)
+    assert counts == want and used <= most
+    if used:
+        with pytest.raises(BudgetExceededError) as err:
+            _count(g, caps, first, last, used - 1)
+        assert err.value.consumed == used
+
+
+# The label bounds drop no labeling: every labeling the search yields
+# at the target lies within them, and they rule the target out only
+# when the search yields none there.
+@SETTINGS
+@given(
+    loop_graphs().flatmap(
+        lambda g: st.tuples(
+            st.just(g),
+            st.lists(st.integers(0, 4), min_size=len(g.edges), max_size=len(g.edges)),
+            st.integers(0, 8),
+        )
+    )
+)
+def test_bounds_keep_every_labeling_of_the_target(case):
+    g, caps, target = case
+    bounds = _bounds([g.incidence[v] for v in g.vertices], target, caps)
+    found = [labels for _, labels in _labelings(g, caps, (target,), None)]
+    if bounds is None:
+        assert found == []
+    else:
+        lo, hi = bounds
+        for labels in found:
+            assert all(a <= x <= b for a, x, b in zip(lo, labels, hi))
 
 
 def decompose_recursive(elem, generators):

@@ -4,7 +4,8 @@ No computational path may use floating point: every module under
 ``src/magiclab`` is parsed and searched for float literals, any use of
 the name ``float`` (calls included) and the floating-point functions of
 ``math``.  The vertex enumeration's double description and the rank of
-its rays run on integers alone and never name ``Fraction``.  No function
+its rays, and the counting DP with its label bounds, run on integers
+alone and never name ``Fraction``.  No function
 calls itself by name, so no input can reach the recursion limit.  Every
 name the package exports is used by another module or by a test.  Every
 ``budget`` parameter with a default defaults to None, which means no cap.
@@ -81,7 +82,10 @@ def test_detector_catches(source):
     assert float_uses(ast.parse(source))
 
 
-INTEGER_ONLY = ("_primitive", "_combine", "_rank", "_extreme_rays")
+INTEGER_ONLY = {
+    "geometry.py": ("_primitive", "_combine", "_rank", "_extreme_rays"),
+    "labelings.py": ("_bounds", "_count"),
+}
 
 
 def fraction_uses(tree: ast.AST, names) -> list[str]:
@@ -96,18 +100,26 @@ def fraction_uses(tree: ast.AST, names) -> list[str]:
     return found
 
 
-def test_double_description_is_integer_only():
-    path = Path(magiclab.__file__).parent / "geometry.py"
+@pytest.mark.parametrize("module", sorted(INTEGER_ONLY))
+def test_integer_only_functions_never_name_fraction(module):
+    path = Path(magiclab.__file__).parent / module
     tree = ast.parse(path.read_text(), str(path))
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
-    assert defined >= set(INTEGER_ONLY)
-    assert fraction_uses(tree, INTEGER_ONLY) == []
+    assert defined >= set(INTEGER_ONLY[module])
+    assert fraction_uses(tree, INTEGER_ONLY[module]) == []
 
 
-def test_fraction_detector_catches():
-    source = "def _rank(rows):\n    return fractions.Fraction(len(rows))"
-    assert fraction_uses(ast.parse(source), INTEGER_ONLY)
-    assert fraction_uses(ast.parse("def _combine():\n    Fraction"), INTEGER_ONLY)
+@pytest.mark.parametrize(
+    "module, source",
+    [
+        ("geometry.py", "def _rank(rows):\n    return fractions.Fraction(len(rows))"),
+        ("geometry.py", "def _combine():\n    Fraction"),
+        ("labelings.py", "def _bounds(inc, target, caps):\n    return Fraction(target, 2)"),
+        ("labelings.py", "def _count(g, caps):\n    return [fractions.Fraction(c) for c in caps]"),
+    ],
+)
+def test_fraction_detector_catches(module, source):
+    assert fraction_uses(ast.parse(source), INTEGER_ONLY[module])
 
 
 def self_calls(tree: ast.AST) -> list[str]:

@@ -348,14 +348,22 @@ class TestEhrhart:
             match="counting exceeded the budget of 36 state transitions",
         ):
             ehrhart_of_polytope(make_gn(4), budget=36)
-        # The 18 counts share one budget: 44,973 transitions in all, though
+        # The 18 counts share one budget: 21,084 transitions in all, though
         # the largest step of the sweep (k = 17: the index pass at 17 and
-        # the passes at 18..34 that the cap binds) takes 8,430.
-        assert ehrhart_of_polytope(make_gn(4), budget=44973).minimum_quasiperiod() == 3
-        for budget, reached in ((44972, 44973), (8430, 8431)):
+        # the passes at 18..34 that the cap binds) takes 3,780.
+        assert ehrhart_of_polytope(make_gn(4), budget=21084).minimum_quasiperiod() == 3
+        for budget, reached in ((21083, 21084), (3780, 3781)):
             with pytest.raises(BudgetExceededError) as err:
                 ehrhart_of_polytope(make_gn(4), budget=budget)
             assert (err.value.phase, err.value.consumed) == ("counting", reached)
+
+    def test_bounds_propagation_trims_the_gn5_sweep(self):
+        # gn(5)/P takes 117,768 transitions; with the raw caps as the
+        # label bounds of every pass (no propagation) it took 292,138.
+        assert ehrhart_of_polytope(make_gn(5), budget=117768).minimum_quasiperiod() == 4
+        with pytest.raises(BudgetExceededError) as err:
+            ehrhart_of_polytope(make_gn(5), budget=117767)
+        assert (err.value.phase, err.value.consumed) == ("counting", 117768)
 
     def test_one_budget_caps_the_q_sweep(self):
         # gn(5)/Q: the passes at targets 0..K take 735 transitions in all.

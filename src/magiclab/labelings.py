@@ -259,24 +259,29 @@ def _bounds(inc, target, caps):
     return lo, hi
 
 
-def _count_plan(steps):
+@lru_cache(maxsize=64)
+def _count_plan(g: Graph):
     # The DP state is one int with one base-(target + 1) digit per slot:
     # the partial sum of the open vertex (touched, not yet closed) that
     # holds the slot.  A vertex takes the lowest free slot when its first
     # edge opens it and frees it when its last edge closes it, so there
-    # are as many slots as the frontier is wide.  Each step of _steps
-    # becomes the slots of the edge's ends, in order, and the (vertex,
-    # slot) pairs of the ends it closes; the caps do not matter.
-    last = {vi: t for t, (_, _, ends) in enumerate(steps) for vi, _ in ends}
+    # are as many slots as the frontier is wide.  Each edge of
+    # _assignment_order (the order of _steps) becomes the slots of its two
+    # ends, a loop's one end twice, whether it is a loop, and the (vertex,
+    # slot) pairs of the ends it closes.  Pure per graph, so memoised.
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(vidx[g.edges[ei][0]], vidx[g.edges[ei][1]]) for ei in _assignment_order(g)]
+    last = {vi: t for t, pair in enumerate(ends) for vi in pair}
     slot: dict[int, int] = {}
     plan = []
-    for t, (_, _, ends) in enumerate(steps):
-        for vi, _ in ends:
+    for t, (ui, wi) in enumerate(ends):
+        for vi in (ui, wi):
             if vi not in slot:
                 slot[vi] = min(set(range(len(slot) + 1)) - set(slot.values()))
-        slots = tuple(slot[vi] for vi, _ in ends)
-        plan.append((slots, [(vi, slot.pop(vi)) for vi, _ in ends if last[vi] == t]))
-    return plan
+        p1, p2 = slot[ui], slot[wi]
+        closes = tuple((vi, slot.pop(vi)) for vi in {ui, wi} if last[vi] == t)
+        plan.append((p1, p2, ui == wi, closes))
+    return tuple(plan)
 
 
 def _count(
@@ -284,47 +289,56 @@ def _count(
 ) -> tuple[list[int], int]:
     # Frontier (transfer-matrix) DP, one pass per target from first to
     # last (to the least vertex capacity when None, as no larger target is
-    # feasible): the number of labelings of each target that the search
-    # _labelings would yield, without visiting each.  A target _bounds
-    # rules out counts 0; otherwise labels are offsets above its floors,
-    # and each vertex's digit counts up to its ``full``, the target minus
-    # its floors' sum.  Offsets are bounded as in the search, so an edge
-    # that closes a vertex is forced to full minus the digit, and
-    # subtracting full * radix**slot frees the digit: the only state left
-    # at the end is 0.  An offset adds ``step`` (the digit weights of the
-    # edge's ends) to the state.  ``budget`` caps the state transitions,
-    # one per (state, offset), counted on from the ``used`` of earlier
-    # passes; returns the counts and the transitions used by then.
-    capacity, steps = _steps(g, caps)
-    least = min(capacity, default=0)
-    plan = _count_plan(steps)
+    # feasible) or to the first target _bounds rules out: the number of
+    # labelings of each target that the search _labelings would yield,
+    # without visiting each.  Labels are offsets above the floors of
+    # _bounds, and each vertex's digit counts up to its ``full``, the
+    # target minus its floors' sum.  Offsets are bounded as in the search,
+    # so an edge that closes a vertex is forced to full minus the digit,
+    # and subtracting full * radix**slot frees the digit: the only state
+    # left at the end is 0.  An offset adds ``step`` (the digit weights of
+    # the edge's ends, a loop's once) to the state.  ``budget`` caps the
+    # state transitions, one per (state, offset), counted on from the
+    # ``used`` of earlier passes; returns the counts and the transitions
+    # used by then.
     inc = [g.incidence[v] for v in g.vertices]
+    least = min((sum(map(caps.__getitem__, es)) for es in inc), default=0)
+    plan = _count_plan(g)
     counts = []
     top = least if last is None else min(last, least)
     for target in range(first, top + 1):
         bounds = _bounds(inc, target, caps)
         if bounds is None:
-            counts.append(0)
-            continue
+            # _bounds is sound over the reals, so no real x with 0 <= x <=
+            # caps has every vertex sum equal to target.  The targets some
+            # such x reaches are the projection of a polytope, an interval,
+            # and it holds 0 (x = 0), so no larger target is reached either:
+            # they all count 0, with no pass.
+            counts += [0] * (top + 1 - target)
+            break
         floors, ceils = bounds
         full = [target - sum(map(floors.__getitem__, es)) for es in inc]
         _, steps = _steps(g, [c - f for f, c in zip(floors, ceils)])
         radix = target + 1
         states = {0: 1}
-        for (_, width, ends), (slots, closes) in zip(steps, plan):
-            ends = [(radix**p, after, full[vi]) for p, (vi, after) in zip(slots, ends)]
-            step = sum(w for w, _, _ in ends)
+        for (_, width, ends), (p1, p2, loop, closes) in zip(steps, plan):
+            (v1, a1), (v2, a2) = ends[0], ends[-1]
+            f1, f2, w1, w2 = full[v1], full[v2], radix**p1, radix**p2
+            step = w1 if loop else w1 + w2
             drop = sum(full[vi] * radix**p for vi, p in closes)
             nxt: dict[int, int] = {}
             get = nxt.get
             for state, mult in states.items():
-                lo, hi = 0, width
-                for w, after, f in ends:
-                    need = f - state // w % radix
-                    if need - after > lo:
-                        lo = need - after
-                    if need < hi:
-                        hi = need
+                n1 = f1 - state // w1 % radix
+                n2 = f2 - state // w2 % radix
+                lo = n1 - a1
+                if n2 - a2 > lo:
+                    lo = n2 - a2
+                if lo < 0:
+                    lo = 0
+                hi = n1 if n1 < width else width
+                if n2 < hi:
+                    hi = n2
                 if lo > hi:
                     continue
                 used += hi - lo + 1
@@ -398,8 +412,9 @@ def count_magic_k(g: Graph, k: int, *, budget: int | None = None) -> int:
     Counted by a frontier (transfer-matrix) dynamic program over the
     edges, one pass per candidate index, without visiting each labeling.
     An index that its narrowed label ranges rule out (on gn(4) at cap k,
-    any above 4k/3) counts 0 without a pass.  ``budget`` caps the state
-    transitions: one per (state, label value), over every index.
+    any above 4k/3) counts 0 without a pass, and the first one ends the
+    passes, as no larger index is reachable either.  ``budget`` caps the
+    state transitions: one per (state, label value), over every index.
     For every k up to some kmax, ``count_series`` gives the same counts
     and runs each pass at an index up to k only once.
     """

@@ -379,6 +379,30 @@ def test_bounds_keep_every_labeling_of_the_target(case):
             assert all(a <= x <= b for a, x, b in zip(lo, labels, hi))
 
 
+# The early stop of _count.  _bounds is sound over the reals, so None at
+# t means no real x with 0 <= x <= caps has every vertex sum t.  The
+# targets such an x reaches are the projection of a polytope onto t, an
+# interval, and it holds 0 (x = 0), so no target above t is reached
+# either: the search finds no labeling there, and _bounds rules each out.
+@SETTINGS
+@given(
+    loop_graphs().flatmap(
+        lambda g: st.tuples(
+            st.just(g),
+            st.lists(st.integers(0, 4), min_size=len(g.edges), max_size=len(g.edges)),
+            st.integers(0, 8),
+        )
+    )
+)
+def test_a_ruled_out_target_rules_out_every_larger_one(case):
+    g, caps, target = case
+    inc = [g.incidence[v] for v in g.vertices]
+    if _bounds(inc, target, caps) is None:
+        for t in range(target + 1, target + 7):
+            assert _bounds(inc, t, caps) is None
+            assert list(_labelings(g, caps, (t,), None)) == []
+
+
 def decompose_recursive(elem, generators):
     """The generator decomposition as one recursion level per generator."""
     gens = sorted(

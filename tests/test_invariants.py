@@ -84,7 +84,7 @@ def test_detector_catches(source):
 
 INTEGER_ONLY = {
     "geometry.py": ("_primitive", "_combine", "_rank", "_extreme_rays"),
-    "labelings.py": ("_bounds", "_count"),
+    "labelings.py": ("_bounds", "_count_plan", "_count"),
 }
 
 

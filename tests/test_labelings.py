@@ -30,7 +30,8 @@ from magiclab import (
     path_graph,
     vertex_sum,
 )
-from magiclab.labelings import _assignment_order, _count_plan, _labelings, _made, _steps
+from magiclab import labelings
+from magiclab.labelings import _assignment_order, _count_plan, _labelings, _made
 
 
 def brute_magic_k(g, k):
@@ -239,8 +240,7 @@ class TestFrontierSlots:
     K33 = Graph(tuple("abcxyz"), tuple((u, v) for u in "abc" for v in "xyz"))
 
     def slots(self, g):
-        plan = _count_plan(_steps(g, [1] * len(g.edges))[1])
-        return 1 + max(p for slots, _closes in plan for p in slots)
+        return 1 + max(max(p1, p2) for p1, p2, _loop, _closes in _count_plan(g))
 
     def test_k33_index_counts_are_semimagic_squares(self):
         # An index-t labeling of K_{3,3} is a 3x3 semimagic square with line
@@ -273,6 +273,31 @@ class TestCountSeries:
         with pytest.raises(BudgetExceededError) as err:
             count_series(make_gn(4), 3, budget=211)
         assert (err.value.phase, err.value.consumed) == ("counting", 212)
+
+    @pytest.mark.parametrize(
+        "count, calls",
+        [
+            (lambda: count_magic_k(make_gn(4), 6), 10),
+            (lambda: count_series(make_gn(4), 20), 104),
+        ],
+        ids=["count_magic_k", "count_series"],
+    )
+    def test_a_ruled_out_target_ends_the_passes(self, monkeypatch, count, calls):
+        # On gn(4) at cap k no target above 4k/3 is feasible, and the first
+        # one _bounds rules out ends the passes: count_magic_k(gn(4), 6)
+        # asks for targets 0..9, not 0..12 (the least vertex capacity), and
+        # count_series(gn(4), 20) makes 104 calls, not 231.  A skipped pass
+        # makes no transition, so only the calls show the stop.
+        seen = []
+
+        def counted(*args):
+            seen.append(args[1])
+            return bounds(*args)
+
+        bounds = labelings._bounds
+        monkeypatch.setattr(labelings, "_bounds", counted)
+        count()
+        assert len(seen) == calls
 
 
 class TestEnumerateIndexK:

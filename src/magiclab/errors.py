@@ -1,6 +1,7 @@
-"""The package's own exception type.  Bad input of every kind, a labeling
-``stanley_decompose`` cannot split included, raises ValueError instead;
-every integer argument passes ``as_ints``, the one integer gate."""
+"""The leaf module every other imports: the package's exception type, the
+value base ``Value`` and ``as_ints``, the one gate every integer argument
+passes.  Bad input of every kind, a labeling ``stanley_decompose`` cannot
+split included, raises ValueError."""
 
 import operator
 
@@ -12,6 +13,34 @@ def as_ints(values, what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{what} must be integers") from None
+
+
+class Value:
+    """An immutable value over the attributes its class names in ``_fields``:
+    equal, and hashed alike, to a value of the same class with equal fields
+    only; repr ``Name(field=value, ...)``.  Setting or deleting an attribute
+    raises AttributeError, so ``__init__`` uses ``object.__setattr__``."""
+
+    def __init_subclass__(cls):
+        # One C-level key per class, read from a closure rather than looked
+        # up on the instance, keeps == and hash cheap on the hot paths.
+        key = operator.attrgetter(*cls._fields)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(key(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} cannot be set or deleted")
+
+    __delattr__ = __setattr__
 
 
 class BudgetExceededError(RuntimeError):

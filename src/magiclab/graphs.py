@@ -6,18 +6,15 @@ Edge order is significant everywhere: ``Graph.edges[i]`` is coordinate
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import as_ints
+from .errors import Value, as_ints
 
 Edge = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """Undirected graph; loops allowed, parallel non-loop edges rejected.
 
     Several loops at one vertex are representable (each loop is its own
@@ -26,12 +23,11 @@ class Graph:
     stricter no-repeated-pairs rule to loops as well.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "edges", tuple((u, v) for u, v in edges))
         declared = set()
         for v in self.vertices:
             if v in declared:
@@ -294,4 +290,5 @@ def graph_from_json(text: str) -> Graph:
 
 def graph_hash(g: Graph) -> str:
     """Short stable identifier tying labeling files to their graph."""
+    import hashlib  # only labeling files need it, so CLI start-up skips it
     return hashlib.sha256(graph_to_json(g).encode("utf-8")).hexdigest()[:16]

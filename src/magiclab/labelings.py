@@ -3,22 +3,20 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceededError, as_ints
+from .errors import BudgetExceededError, Value, as_ints
 from .graphs import Graph, graph_hash, make_gn
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(Value):
     """Nonnegative integer labels in the graph's edge coordinate order."""
 
-    graph: Graph
-    labels: tuple[int, ...]
+    _fields = ("graph", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", as_ints(self.labels, "labels"))
+    def __init__(self, graph: Graph, labels: tuple[int, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "labels", as_ints(labels, "labels"))
         if len(self.labels) != len(self.graph.edges):
             raise ValueError("label vector length must equal the edge count")
         if any(x < 0 for x in self.labels):

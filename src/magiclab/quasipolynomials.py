@@ -8,14 +8,13 @@ negative arguments evaluate through the same constituents).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
 from numbers import Rational, Real
 
 from . import geometry, labelings
-from .errors import as_ints
+from .errors import Value, as_ints
 from .graphs import Graph
 
 Coeffs = tuple[Fraction, ...]
@@ -98,8 +97,7 @@ def _eval_poly(coeffs: Coeffs, t: int) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True)
-class Quasipolynomial:
+class Quasipolynomial(Value):
     """Period plus one coefficient tuple (low degree first) per residue.
 
     Construction keeps only the minimum period: the least divisor of the
@@ -108,16 +106,15 @@ class Quasipolynomial:
     same function.
     """
 
-    period: int
-    constituents: tuple[Coeffs, ...]
+    _fields = ("period", "constituents")
 
-    def __post_init__(self):
-        (period,) = as_ints((self.period,), "period")
+    def __init__(self, period: int, constituents: tuple[Coeffs, ...]):
+        (period,) = as_ints((period,), "period")
         if period < 1:
             raise ValueError("period must be positive")
-        if len(self.constituents) != period:
+        if len(constituents) != period:
             raise ValueError("need exactly one constituent per residue")
-        parts = tuple(_trim(c) for c in self.constituents)
+        parts = tuple(_trim(c) for c in constituents)
         # The least d such that parts is parts[:d] repeated; the repeats of
         # a d that does not divide the period fall short.
         d = next(d for d in range(1, period + 1) if parts[:d] * (period // d) == parts)

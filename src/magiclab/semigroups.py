@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
 from . import geometry
-from .errors import BudgetExceededError, as_ints
+from .errors import BudgetExceededError, Value, as_ints
 from .graphs import Edge, Graph, forced_max_edge, is_bipartite
 from .labelings import (
     Labeling,
@@ -28,15 +27,13 @@ from .labelings import (
 )
 
 
-@dataclass(frozen=True)
-class SemigroupElement:
-    labeling: Labeling
-    height: int
+class SemigroupElement(Value):
+    _fields = ("labeling", "height")
 
-    def __post_init__(self):
-        (height,) = as_ints((self.height,), "height")
-        object.__setattr__(self, "height", height)
-        if height < 0:
+    def __init__(self, labeling: Labeling, height: int):
+        object.__setattr__(self, "labeling", labeling)
+        object.__setattr__(self, "height", as_ints((height,), "height")[0])
+        if self.height < 0:
             raise ValueError("height must be nonnegative")
 
 
@@ -69,8 +66,7 @@ def cf_elements(
     return [SemigroupElement(_made(g, r[1:]), r[0]) for r in rays]
 
 
-@dataclass(frozen=True)
-class CFVerdict:
+class CFVerdict(Value):
     """Outcome of the brute-force complete-fundamentality check.
 
     When ``refuted``, heights and labels of ``b`` and ``c`` witness a
@@ -79,11 +75,18 @@ class CFVerdict:
     ``m_max`` (which is not a proof beyond that bound).
     """
 
-    refuted: bool
-    m_max: int
-    m: int | None = None
-    b: SemigroupElement | None = None
-    c: SemigroupElement | None = None
+    _fields = ("refuted", "m_max", "m", "b", "c")
+
+    def __init__(
+        self,
+        refuted: bool,
+        m_max: int,
+        m: int | None = None,
+        b: SemigroupElement | None = None,
+        c: SemigroupElement | None = None,
+    ):
+        for name, value in zip(self._fields, (refuted, m_max, m, b, c)):
+            object.__setattr__(self, name, value)
 
 
 def _is_multiple(labels, height, base: SemigroupElement) -> bool:
@@ -274,8 +277,7 @@ def _extract(pool, labels, idx, budget) -> list[tuple[int, ...]] | None:
     return None
 
 
-@dataclass(frozen=True)
-class QuasiperiodCertificate:
+class QuasiperiodCertificate(Value):
     """Structural certificate that the counting function has a small period.
 
     ``verdict`` is "polynomial", "quasiperiod_le_2", or "no_certificate".
@@ -285,10 +287,17 @@ class QuasiperiodCertificate:
     hypothesis holds trivially).
     """
 
-    verdict: str
-    bipartite: bool
-    forced_edge: Edge | None = None
-    vacuous: bool = False
+    _fields = ("verdict", "bipartite", "forced_edge", "vacuous")
+
+    def __init__(
+        self,
+        verdict: str,
+        bipartite: bool,
+        forced_edge: Edge | None = None,
+        vacuous: bool = False,
+    ):
+        for name, value in zip(self._fields, (verdict, bipartite, forced_edge, vacuous)):
+            object.__setattr__(self, name, value)
 
 
 def certify_small_quasiperiod(

@@ -7,11 +7,11 @@ the acceptance test suite both run these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import geometry, labelings, quasipolynomials, semigroups
+from .errors import Value
 from .graphs import (
     Graph,
     bouquet,
@@ -28,11 +28,12 @@ from .labelings import li_matching, lstar
 from .quasipolynomials import Quasipolynomial
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Value):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        for field, value in zip(self._fields, (name, passed, detail)):
+            object.__setattr__(self, field, value)
 
 
 def bridged_blocks() -> Graph:

@@ -14,22 +14,37 @@ its one gate, ``errors.as_ints``, and each public callable that takes an
 integer raises ValueError for a float.  Only ``labelings._made`` builds an
 object past its checks (through ``__new__``), so the library has one
 unchecked path for the labelings it makes.
+
+The seven value classes share the semantics of ``errors.Value``, and
+importing ``magiclab.cli`` in a fresh interpreter loads none of
+``dataclasses``, ``hashlib`` or ``inspect``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import magiclab
 from magiclab import (
+    CFVerdict,
+    Graph,
+    Labeling,
+    QuasiperiodCertificate,
     Quasipolynomial,
+    SemigroupElement,
     binomial,
     bouquet,
     cf_elements,
     closed_form_mn,
     cycle_graph,
     f_n,
+    graph_hash,
     iterated_difference_of_fn,
     li_matching,
     lstar,
@@ -38,6 +53,8 @@ from magiclab import (
     path_graph,
     verify_completely_fundamental,
 )
+from magiclab.labelings import _made
+from magiclab.verification import CheckResult
 
 MODULES = sorted(Path(magiclab.__file__).parent.glob("*.py"))
 FLOAT_MATH = {"sqrt", "log", "exp", "pow"}
@@ -322,3 +339,152 @@ NON_INTEGER_CALLS = {
 def test_a_non_integer_argument_raises_value_error(call):
     with pytest.raises(ValueError, match="must be integers"):
         call()
+
+
+def loop_graph():
+    return Graph(("a", "b"), (("a", "b"), ("b", "b")))
+
+
+# Per class: its fields, then two builders that make a fresh value on every
+# call, the second with different fields from the first.
+VALUES = {
+    "Graph": (("vertices", "edges"), loop_graph, lambda: Graph(("a", "b"), (("a", "b"),))),
+    "Labeling": (
+        ("graph", "labels"),
+        lambda: Labeling(loop_graph(), (1, 2)),
+        lambda: Labeling(loop_graph(), (2, 1)),
+    ),
+    "Quasipolynomial": (
+        ("period", "constituents"),
+        lambda: Quasipolynomial(2, ((Fraction(1, 2), 1), (0, 1))),
+        lambda: Quasipolynomial(1, ((0, 1),)),
+    ),
+    "SemigroupElement": (
+        ("labeling", "height"),
+        lambda: SemigroupElement(Labeling(loop_graph(), (2, 0)), 2),
+        lambda: SemigroupElement(Labeling(loop_graph(), (2, 0)), 3),
+    ),
+    "CFVerdict": (
+        ("refuted", "m_max", "m", "b", "c"),
+        lambda: CFVerdict(True, 3, m=2, b=SemigroupElement(Labeling(loop_graph(), (1, 0)), 1)),
+        lambda: CFVerdict(False, 3),
+    ),
+    "QuasiperiodCertificate": (
+        ("verdict", "bipartite", "forced_edge", "vacuous"),
+        lambda: QuasiperiodCertificate("polynomial", True, forced_edge=("a", "b")),
+        lambda: QuasiperiodCertificate("no_certificate", True),
+    ),
+    "CheckResult": (
+        ("name", "passed", "detail"),
+        lambda: CheckResult("x", True),
+        lambda: CheckResult("x", False),
+    ),
+}
+ONE_VALUE = [(names, make) for names, make, _ in VALUES.values()]
+
+
+def fields(value, names) -> dict:
+    return {f: getattr(value, f) for f in names}
+
+
+@pytest.mark.parametrize("names, make, make_other", VALUES.values(), ids=VALUES)
+def test_equal_fields_mean_equal_values(names, make, make_other):
+    a, b, other = make(), make(), make_other()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != other and not a == other
+    # Keyword construction from the fields gives the same value.
+    assert type(a)(**fields(a, names)) == a
+
+
+@pytest.mark.parametrize("names, make", ONE_VALUE, ids=VALUES)
+def test_never_equal_to_another_class_or_its_fields(names, make):
+    a = make()
+    assert a != tuple(fields(a, names).values())
+    assert a != fields(a, names)
+    sub = type("Sub", (type(a),), {})(**fields(a, names))
+    assert a != sub and sub != a
+    for _, other in ONE_VALUE:
+        if other is not make:
+            assert a != other()
+
+
+@pytest.mark.parametrize("names, make", ONE_VALUE, ids=VALUES)
+def test_repr_names_the_class_and_its_fields(names, make):
+    a = make()
+    args = ", ".join(f"{f}={v!r}" for f, v in fields(a, names).items())
+    assert repr(a) == f"{type(a).__name__}({args})"
+
+
+def test_repr_reads_as_a_constructor_call():
+    assert repr(Graph(("a", "b"), (("a", "b"),))) == (
+        "Graph(vertices=('a', 'b'), edges=(('a', 'b'),))"
+    )
+    assert repr(CheckResult("x", True)) == "CheckResult(name='x', passed=True, detail='')"
+
+
+@pytest.mark.parametrize("names, make", ONE_VALUE, ids=VALUES)
+def test_values_are_immutable(names, make):
+    a = make()
+    before = fields(a, names)
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert fields(a, names) == before and not hasattr(a, "extra")
+
+
+def test_keyword_construction_and_defaults():
+    verdict = CFVerdict(refuted=False, m_max=3)
+    assert (verdict.m, verdict.b, verdict.c) == (None, None, None)
+    assert CheckResult("x", True).detail == ""
+    cert = QuasiperiodCertificate(verdict="polynomial", bipartite=True)
+    assert (cert.forced_edge, cert.vacuous) == (None, False)
+    assert Labeling(labels=[1, 2], graph=loop_graph()).labels == (1, 2)
+
+
+def test_cached_properties_leave_equality_alone():
+    a, b = loop_graph(), loop_graph()
+    assert a.incidence == {"a": (0,), "b": (0, 1)} and a.degrees == {"a": 1, "b": 3}
+    assert a == b and hash(a) == hash(b)
+
+
+def test_made_labelings_equal_checked_ones():
+    g = make_gn(3)
+    assert _made(g, (1,) * 9) == Labeling(g, (1,) * 9)
+    assert hash(_made(g, (1,) * 9)) == hash(Labeling(g, (1,) * 9))
+
+
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import magiclab.cli
+loaded = set(sys.modules) - before
+from magiclab import labeling_from_json, labeling_to_json, lstar
+first = "hashlib" in sys.modules
+lab = lstar(3)
+back = labeling_from_json(lab.graph, labeling_to_json(lab))
+print(json.dumps({
+    "loaded": sorted(loaded),
+    "hashlib_before_first_use": first,
+    "hashlib_after": "hashlib" in sys.modules,
+    "round_trip": back == lab,
+    "graph_hash": json.loads(labeling_to_json(lab))["graph_hash"],
+}))
+"""
+
+
+def test_cli_start_up_skips_unneeded_stdlib():
+    src = Path(magiclab.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    probe = json.loads(out.stdout)
+    assert "magiclab.verification" in probe["loaded"]
+    assert {"dataclasses", "hashlib", "inspect"} & set(probe["loaded"]) == set()
+    # hashlib loads on the first graph_hash call, and the hash is unchanged.
+    assert not probe["hashlib_before_first_use"] and probe["hashlib_after"]
+    assert probe["round_trip"]
+    assert probe["graph_hash"] == graph_hash(make_gn(3)) == "e41af53b44e12913"

@@ -1,9 +1,11 @@
 """The leaf module every other imports: the package's exception type, the
-value base ``Value`` and ``as_ints``, the one gate every integer argument
-passes.  Bad input of every kind, a labeling ``stanley_decompose`` cannot
-split included, raises ValueError."""
+value base ``Value`` and the gates every integer (``as_ints``) and exact
+value (``as_exact``) passes.  Bad input of every kind, a labeling
+``stanley_decompose`` cannot split included, raises ValueError."""
 
 import operator
+from fractions import Fraction
+from numbers import Rational, Real
 
 
 def as_ints(values, what: str) -> tuple[int, ...]:
@@ -13,6 +15,13 @@ def as_ints(values, what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{what} must be integers") from None
+
+
+def as_exact(v) -> Fraction:
+    # Floating point is Real but not Rational; Fraction(0.1) is not 1/10.
+    if isinstance(v, Real) and not isinstance(v, Rational):
+        raise ValueError(f"{v!r} is floating point, not an exact value")
+    return Fraction(v)
 
 
 class Value:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, as_exact
 from .graphs import Graph
 
 Point = tuple[Fraction, ...]
@@ -40,17 +40,21 @@ def _combine(a: int, x, b: int, y) -> tuple[int, ...]:
     return _primitive([a * p + b * q for p, q in zip(x, y)])
 
 
-def _rank(rows) -> int:
-    # Rank of integer rows by fraction-free elimination: each pivot row
-    # clears its leading column from the others, which stay integral.
-    rows = [r for r in rows if any(r)]
-    rank = 0
-    while rows:
-        p = rows.pop()
-        j = next(j for j, c in enumerate(p) if c)
-        rows = [s for r in rows if any(s := _combine(p[j], r, -r[j], p))]
-        rank += 1
-    return rank
+def _reduce(rows) -> list[tuple[int, ...]]:
+    # Fraction-free Gauss-Jordan: each row, cleared by the pivot rows so
+    # far, becomes one unless zero and clears its leading column from them.
+    # The pivot rows, in pivot order and each zero in the others' pivot
+    # columns, are returned; their count is the rank.
+    pivots: dict[int, tuple[int, ...]] = {}
+    for r in rows:
+        for j, p in pivots.items():
+            r = _combine(p[j], r, -r[j], p) if r[j] else r
+        if any(r):
+            j = next(j for j, c in enumerate(r) if c)
+            for i, p in pivots.items():
+                pivots[i] = _combine(r[j], p, -p[j], r) if p[j] else p
+            pivots[j] = _primitive(r)
+    return [pivots[j] for j in sorted(pivots)]
 
 
 def _extreme_rays(eqs, rows, n: int, budget: int | None) -> list[tuple[int, ...]]:
@@ -150,7 +154,7 @@ def _polytope_facts(g: Graph, kind: str, budget: int | None):
     """
     rays = tuple(sorted(_enumerate_vertices(g, _check_kind(kind), budget)))
     # The rays span the cone over the vertices, one more than their hull.
-    return rays, lcm(*(r[0] for r in rays)), _rank(rays) - 1
+    return rays, lcm(*(r[0] for r in rays)), len(_reduce(rays)) - 1
 
 
 def polytope_vertices(g: Graph, kind: str, *, budget: int | None = None) -> list[Point]:
@@ -186,7 +190,7 @@ def polytope_vertices(g: Graph, kind: str, *, budget: int | None = None) -> list
 
 def point_denominator(pt) -> int:
     """Least positive d with d * pt integral (1 for the empty point)."""
-    return lcm(*(Fraction(c).denominator for c in pt)) if pt else 1
+    return lcm(*(as_exact(c).denominator for c in pt)) if pt else 1
 
 
 def polytope_denominator(g: Graph, kind: str, *, budget: int | None = None) -> int:
@@ -204,4 +208,4 @@ def polytope_dimension(g: Graph, kind: str, *, budget: int | None = None) -> int
 
 def format_point(pt) -> list[str]:
     """Coordinates rendered as exact fraction strings ("2", "1/3", ...)."""
-    return [str(Fraction(c)) for c in pt]
+    return [str(as_exact(c)) for c in pt]

@@ -11,10 +11,9 @@ import json
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
-from numbers import Rational, Real
 
 from . import geometry, labelings
-from .errors import Value, as_ints
+from .errors import Value, as_exact, as_ints
 from .graphs import Graph
 
 Coeffs = tuple[Fraction, ...]
@@ -66,15 +65,8 @@ def iterated_difference_of_fn(n: int, i: int, t: int) -> int:
     return sum(binomial(j, n - i) for j in range(t % n, t + 1, n))
 
 
-def _exact(v) -> Fraction:
-    # Floating point is Real but not Rational; Fraction(0.1) is not 1/10.
-    if isinstance(v, Real) and not isinstance(v, Rational):
-        raise ValueError(f"{v!r} is floating point, not an exact value")
-    return Fraction(v)
-
-
 def _trim(coeffs) -> Coeffs:
-    cs = list(map(_exact, coeffs))
+    cs = list(map(as_exact, coeffs))
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -88,13 +80,6 @@ def _shift_poly(coeffs: Coeffs) -> Coeffs:
         for i in range(j + 1):
             out[i] += c * comb(j, i)
     return _trim(out)
-
-
-def _eval_poly(coeffs: Coeffs, t: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 class Quasipolynomial(Value):
@@ -128,7 +113,10 @@ class Quasipolynomial(Value):
 
     def evaluate(self, t: int) -> Fraction:
         (t,) = as_ints((t,), "t")
-        return _eval_poly(self.constituents[t % self.period], t)
+        acc = Fraction(0)
+        for c in reversed(self.constituents[t % self.period]):
+            acc = acc * t + c
+        return acc
 
     def difference(self) -> Quasipolynomial:
         """The quasipolynomial t -> F(t+1) - F(t)."""
@@ -175,40 +163,39 @@ class Quasipolynomial(Value):
         return Quasipolynomial(data["period"], parts)
 
 
+def samples_needed(period: int, degree: int) -> int:
+    """Samples ``fit_quasipolynomial`` needs: degree + 2 per residue."""
+    return period * (degree + 2)
+
+
 def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
     """Exact interpolation of consecutive samples starting at 0.
 
     ``samples[k]`` is the value at k.  Each residue class is fitted from
-    its first degree+1 samples by Newton's forward differences; every
-    remaining sample then validates the fit, so a wrong period or degree
-    guess raises ValueError instead of returning a bad quasipolynomial.
-    Needs at least period * (degree + 2) samples.
+    its first degree+1 samples, solving their Vandermonde system with
+    ``geometry._reduce``; every remaining sample then validates the fit,
+    so a wrong period or degree guess raises ValueError instead of
+    returning a bad quasipolynomial.  Needs ``samples_needed`` samples.
     """
     period, degree = as_ints((period, degree), "period and degree")
     if period < 1:
         raise ValueError("period must be positive")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    values = list(map(_exact, samples))
-    if len(values) < period * (degree + 2):
-        raise ValueError(
-            f"need at least {period * (degree + 2)} samples, got {len(values)}"
-        )
+    values = list(map(as_exact, samples))
+    need = samples_needed(period, degree)
+    if len(values) < need:
+        raise ValueError(f"need at least {need} samples, got {len(values)}")
     parts = []
     for r in range(period):
-        # Newton's forward differences on r, r + period, ...: the value at
-        # r + j * period is the sum of diff_i * C(j, i), and C(j, i) with
-        # j = (t - r) / period is the polynomial basis[i] in t.
-        diffs = values[r : r + period * (degree + 1) : period]
-        coeffs = [Fraction(0)] * (degree + 1)
-        basis = [Fraction(1)]
-        for i in range(degree + 1):
-            for j, b in enumerate(basis):
-                coeffs[j] += diffs[0] * b
-            diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-            c, scale = r + i * period, (i + 1) * period
-            basis = [(lo - c * hi) / scale for lo, hi in zip([0, *basis], [*basis, 0])]
-        parts.append(tuple(coeffs))
+        # Rows value(t) = sum of c_i t^i, scaled to integers; the points t
+        # are distinct, so the reduced rows are diagonal: c_i = p[-1] / p[i].
+        rows = []
+        for t in range(r, r + period * (degree + 1), period):
+            n, d = values[t].as_integer_ratio()
+            rows.append([d * t**i for i in range(degree + 1)] + [n])
+        reduced = geometry._reduce(rows)
+        parts.append(tuple(Fraction(p[-1], p[i]) for i, p in enumerate(reduced)))
     q = Quasipolynomial(period, tuple(parts))
     for k, v in enumerate(values):
         if q.evaluate(k) != v:
@@ -225,21 +212,21 @@ def ehrhart_of_polytope(
     """Lattice-point counting quasipolynomial of the magic polytope.
 
     The vertex denominators fix the fitting period and the vertex set's
-    affine rank the degree; counts for k = 0 .. K = period*(degree+2)-1
-    come from the counting dynamic program, and the validated fit is
-    returned; like every ``Quasipolynomial`` it keeps only its minimum
-    period.  For P they come from one ``labelings.count_series`` sweep
-    (each pass at an index up to k runs once, not once per k).  For Q
-    they come from one DP call at cap K over the targets 0..K: a cap of
-    at least t never binds at target t, so its pass at t is that of
-    ``count_index_k(g, t)``.  Each pass runs on the label bounds its
-    target allows.  ``budget`` caps the vertex-enumeration pair tests
-    and, separately, the state transitions of all the counts together,
-    so it bounds the sweep's total work; ``None`` means no cap on either.
+    affine rank the degree; counts for k = 0 .. K, the fit's
+    ``samples_needed``, come from the counting dynamic program, and the
+    validated fit is returned, keeping only its minimum period.  For P
+    they come from one ``labelings.count_series`` sweep (each pass at an
+    index up to k runs once, not once per k).  For Q they come from one
+    DP call at cap K over the targets 0..K: a cap of at least t never
+    binds at target t, so its pass at t is that of ``count_index_k(g, t)``.
+    Each pass runs on the label bounds its target allows.  ``budget`` caps
+    the vertex-enumeration pair tests and, separately, the state
+    transitions of all the counts together, so it bounds the sweep's total
+    work; ``None`` means no cap on either.
     """
     den = geometry.polytope_denominator(g, kind, budget=budget)
     dim = geometry.polytope_dimension(g, kind, budget=budget)
-    top = den * (dim + 2) - 1
+    top = samples_needed(den, dim) - 1
     if kind == "P":
         values = labelings.count_series(g, top, budget=budget)[0]
     else:

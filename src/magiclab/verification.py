@@ -25,7 +25,7 @@ from .graphs import (
     path_graph,
 )
 from .labelings import li_matching, lstar
-from .quasipolynomials import Quasipolynomial
+from .quasipolynomials import Quasipolynomial, samples_needed
 
 
 class CheckResult(Value):
@@ -77,9 +77,8 @@ def _ehrhart_p(g: Graph) -> Quasipolynomial:
 
 
 def _fit_fn(n: int) -> Quasipolynomial:
-    # The summatory binomial function of order n has degree n + 1 and
-    # period n, so n*(n+3) samples fit and validate it.
-    samples = [quasipolynomials.f_n(n, k) for k in range(n * (n + 3))]
+    # The summatory binomial function of order n: period n, degree n + 1.
+    samples = [quasipolynomials.f_n(n, k) for k in range(samples_needed(n, n + 1))]
     return quasipolynomials.fit_quasipolynomial(samples, n, n + 1)
 
 
@@ -186,9 +185,9 @@ def check_quasiperiod_divides_denominator() -> str | None:
     # construction; so test it on one more period past the fit's samples.
     for name, g in corpus():
         den = geometry.polytope_denominator(g, "P")
-        top = den * (geometry.polytope_dimension(g, "P") + 2) - 1
+        window = samples_needed(den, geometry.polytope_dimension(g, "P"))
         q = _ehrhart_p(g)
-        for t in range(top + 1, top + den + 1):
+        for t in range(window, window + den):
             got = labelings.count_magic_k(g, t)
             if got != q.evaluate(t):
                 return f"{name} k={t}: counted {got}, fitted {q.evaluate(t)}"

@@ -3,7 +3,8 @@
 The labeling search is checked against filtered label cubes, its floors
 against filtering, the vertex enumeration against the subset scan, the
 CF elements against the scaled vertices, the preclusion class against
-brute-force matchings, the index each search solution is reported with
+brute-force matchings, the fraction-free row reduction against reduction
+over fractions, the index each search solution is reported with
 against the magic test, the counting DP against the labeling search and
 against a tuple-state copy of the DP that bounds labels by their caps
 alone, the per-target label bounds against the search's solutions, the
@@ -50,7 +51,7 @@ from magiclab import (
     stanley_decompose,
     verify_completely_fundamental,
 )
-from magiclab.geometry import _polytope_facts
+from magiclab.geometry import _polytope_facts, _reduce
 from magiclab.labelings import _bounds, _count, _labelings, _steps
 from magiclab.semigroups import _is_multiple, _pool, validate_element
 from test_geometry import brute_vertices, rref
@@ -187,6 +188,28 @@ def affine_rank(points):
     first = points[0]
     diffs = [[a - b for a, b in zip(p, first)] for p in points[1:]]
     return len(rref(diffs, len(first))[1])
+
+
+integer_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=6)
+)
+
+
+# The fraction-free Gauss-Jordan reduction spans the same rows as the
+# reduction over fractions, and each pivot column is zero but in its row.
+@SETTINGS
+@given(integer_matrices)
+@example([[0, 2, 4], [1, 1, 1], [1, 3, 5]])
+def test_reduction_matches_the_fraction_rref(rows):
+    n = len(rows[0]) if rows else 1
+    reduced = _reduce(rows)
+    want, pivots = rref(rows, n)
+    assert len(reduced) == len(pivots)
+    assert rref(reduced, n)[0] == want[: len(pivots)]
+    leads = [next(j for j, c in enumerate(p) if c) for p in reduced]
+    assert leads == pivots
+    for i, j in enumerate(leads):
+        assert [p[j] != 0 for p in reduced] == [k == i for k in range(len(reduced))]
 
 
 # Graphs on which a ray pair passes the zero-count bound without being

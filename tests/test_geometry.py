@@ -29,7 +29,7 @@ from magiclab import (
     polytope_dimension,
     polytope_vertices,
 )
-from magiclab.geometry import _rank
+from magiclab.geometry import _reduce, format_point
 from magiclab.verification import bridged_blocks, corpus
 
 F = Fraction
@@ -154,14 +154,21 @@ class TestMagicEqualities:
         assert all(len(row) == len(g.edges) + 1 == 7 for row in eqs)
 
 
-def test_integer_rank_basics():
-    assert _rank([]) == 0
-    assert _rank([[1, 2], [2, 4]]) == 1
-    assert _rank([[1, 0], [0, 1]]) == 2
-    assert _rank([[0, 0], [0, 0]]) == 0
-    assert _rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
-    assert _rank(iter([[0, 1], [1, 0], [1, 1]])) == 2
-    assert _rank([[6, 10, 15], [10, 15, 6], [15, 6, 10]]) == 3
+def test_reduce_basics():
+    def rank(rows):
+        return len(_reduce(rows))
+
+    assert rank([]) == 0
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[1, 0], [0, 1]]) == 2
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+    assert rank(iter([[0, 1], [1, 0], [1, 1]])) == 2
+    assert rank([[6, 10, 15], [10, 15, 6], [15, 6, 10]]) == 3
+    # Pivot rows come back primitive, in pivot order, each zero in the
+    # others' pivot columns.
+    assert _reduce([[2, 4], [1, 3]]) == [(1, 0), (0, 1)]
+    assert _reduce([[0, 2, 4, 6], [1, 1, 1, 1]]) == [(1, 0, -1, -2), (0, 1, 2, 3)]
 
 
 class TestVertices:
@@ -295,6 +302,20 @@ class TestPointDenominator:
 
     def test_empty_point(self):
         assert point_denominator(()) == 1
+
+    def test_float_rejected(self):
+        # Fraction(0.1) has denominator 2**55, not 10.
+        with pytest.raises(ValueError, match="exact"):
+            point_denominator((0.1,))
+
+
+class TestFormatPoint:
+    def test_exact_strings(self):
+        assert format_point((F(2), F(1, 3), 0, "1/2")) == ["2", "1/3", "0", "1/2"]
+
+    def test_float_rejected(self):
+        with pytest.raises(ValueError, match="exact"):
+            format_point((0.5,))
 
 
 class TestPolytopeDenominator:

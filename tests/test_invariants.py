@@ -3,9 +3,10 @@
 No computational path may use floating point: every module under
 ``src/magiclab`` is parsed and searched for float literals, any use of
 the name ``float`` (calls included) and the floating-point functions of
-``math``.  The vertex enumeration's double description and the rank of
-its rays, and the counting DP with its label bounds, run on integers
-alone and never name ``Fraction``.  No function
+``math``.  The vertex enumeration's double description, the row
+reduction behind dimensions and the quasipolynomial fit, and the
+counting DP with its label bounds, run on integers alone and never name
+``Fraction``.  No function
 calls itself by name, so no input can reach the recursion limit.  Every
 name the package exports is used by another module or by a test.  Every
 ``budget`` parameter with a default defaults to None, which means no cap.
@@ -100,7 +101,7 @@ def test_detector_catches(source):
 
 
 INTEGER_ONLY = {
-    "geometry.py": ("_primitive", "_combine", "_rank", "_extreme_rays"),
+    "geometry.py": ("_primitive", "_combine", "_reduce", "_extreme_rays"),
     "labelings.py": ("_bounds", "_count_plan", "_count"),
 }
 
@@ -129,7 +130,7 @@ def test_integer_only_functions_never_name_fraction(module):
 @pytest.mark.parametrize(
     "module, source",
     [
-        ("geometry.py", "def _rank(rows):\n    return fractions.Fraction(len(rows))"),
+        ("geometry.py", "def _reduce(rows):\n    return [fractions.Fraction(1)]"),
         ("geometry.py", "def _combine():\n    Fraction"),
         ("labelings.py", "def _bounds(inc, target, caps):\n    return Fraction(target, 2)"),
         ("labelings.py", "def _count(g, caps):\n    return [fractions.Fraction(c) for c in caps]"),

@@ -61,7 +61,7 @@ class BudgetExceededError(RuntimeError):
     - ``"search"``: nodes, the label values the labeling search offers;
     - ``"counting"``: state transitions of the counting DP;
     - ``"vertex enumeration"``: pair tests of the double description;
-    - ``"Stanley extraction"``: pieces tried by the decomposition.
+    - ``"Stanley extraction"``: counts tried by the combination search.
 
     ``phase`` names the phase, ``consumed`` is the work it had counted
     when it stopped (more than ``budget``) and ``budget`` is the cap.

@@ -240,13 +240,14 @@ def matching_preclusion_class(g: Graph) -> str:
 def forced_max_edge(g: Graph, index2_labelings) -> Edge | str | None:
     """Edge attaining the maximum label in every supplied index-2 labeling.
 
-    ``index2_labelings`` must be the complete list of index-2 magic
-    labelings of g.  Returns the first qualifying edge in coordinate
-    order; the string ``"vacuous"`` when the list is empty (only the
-    zero labeling is then magic); None when no edge qualifies.
+    ``index2_labelings`` must hold every index-2 magic labeling of g,
+    in any iterable, read once.  Returns the first qualifying edge in
+    coordinate order; the string ``"vacuous"`` when there is none (only
+    the zero labeling is then magic); None when no edge qualifies.
     """
     from . import labelings as _labelings
 
+    index2_labelings = list(index2_labelings)
     for lab in index2_labelings:
         if lab.graph != g or _labelings.is_magic(lab) != 2:
             raise ValueError("expected magic labelings of g with index 2")

@@ -8,7 +8,6 @@ Addition is entrywise on labels and heights.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from functools import lru_cache
 from math import lcm
@@ -158,16 +157,49 @@ def verify_completely_fundamental(
     return CFVerdict(refuted=False, m_max=m_max)
 
 
+def _combination(vecs, target, budget) -> list[int] | None:
+    """Counts, one per vector, of a nonnegative integer combination of
+    ``vecs`` equal to ``target`` (trailing zeros may be left off), or
+    None.  Depth first with an explicit stack of (remainder, count) per
+    vector, each count from the most the remainder allows down to 0, so
+    the first combination found has the lexicographically largest counts;
+    a (depth, remainder) whose every count failed is dead, never searched
+    again.  ``budget`` caps the counts tried."""
+    dead: set[tuple[int, tuple[int, ...]]] = set()
+    stack: list[tuple[tuple[int, ...], int]] = []
+    rem = tuple(target)
+    tried = 0
+    while any(rem):
+        depth = len(stack)
+        if depth < len(vecs) and (depth, rem) not in dead:
+            vec = vecs[depth]
+            stack.append((rem, min((r // v for r, v in zip(rem, vec) if v), default=0)))
+        else:
+            # Dead end: one fewer of the deepest vector with a count left.
+            while stack and not stack[-1][1]:
+                dead.add((len(stack) - 1, stack.pop()[0]))
+            if not stack:
+                return None
+            stack[-1] = (stack[-1][0], stack[-1][1] - 1)
+        tried += 1
+        if budget is not None and tried > budget:
+            raise BudgetExceededError.over(
+                "Stanley extraction", "counts tried", budget, tried
+            )
+        prev, count = stack[-1]
+        rem = tuple(r - count * v for r, v in zip(prev, vecs[len(stack) - 1]))
+    return [count for _, count in stack]
+
+
 def decompose_over_generators(
     elem: SemigroupElement, generators
 ) -> Counter | None:
     """Nonnegative integer combination of ``generators`` equal to ``elem``.
 
-    Labels and heights must both match.  Search is depth first over
-    generators sorted by descending height, with an explicit stack of
-    (remainder, count) per generator; each count runs from the most the
-    remainder allows down to 0.  Returns a Counter of generators, or
-    None when no combination exists.
+    Labels and heights must both match.  ``_combination`` searches the
+    generators sorted by descending height, so the combination returned
+    takes as many of each generator in turn as any combination does.
+    Returns a Counter of generators, or None when no combination exists.
     """
     gens = sorted(
         generators, key=lambda e: (e.height, e.labeling.labels), reverse=True
@@ -175,26 +207,14 @@ def decompose_over_generators(
     for gen in gens:
         if gen.labeling.graph != elem.labeling.graph:
             raise ValueError("generators must live on the element's graph")
-    vecs = [list(gen.labeling.labels) + [gen.height] for gen in gens]
-    rem = list(elem.labeling.labels) + [elem.height]
-    stack: list[tuple[list[int], int]] = []
-    while any(rem):
-        if len(stack) < len(vecs):
-            vec = vecs[len(stack)]
-            stack.append((rem, min((r // v for r, v in zip(rem, vec) if v), default=0)))
-        else:
-            # Dead end: one fewer of the deepest generator with a count left.
-            while stack and not stack[-1][1]:
-                stack.pop()
-            if not stack:
-                return None
-            stack[-1] = (stack[-1][0], stack[-1][1] - 1)
-        prev, count = stack[-1]
-        rem = [r - count * v for r, v in zip(prev, vecs[len(stack) - 1])]
+    vecs = [gen.labeling.labels + (gen.height,) for gen in gens]
+    counts = _combination(vecs, elem.labeling.labels + (elem.height,), None)
+    if counts is None:
+        return None
     # Deeper levels are written first, so a generator listed twice keeps
     # the count of its shallowest listing that uses it.
     found = Counter()
-    for gen, (_, count) in reversed(list(zip(gens, stack))):
+    for gen, count in reversed(list(zip(gens, counts))):
         if count:
             found[gen] = count
     return found
@@ -207,15 +227,15 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     per distinct piece.  On bipartite graphs every piece has index 1 (a
     perfect-matching indicator).  The zero labeling gives the empty
     list.  Candidates are the magic labelings below min(lab, 2) at index
-    1, and also 2 off bipartite graphs; a full backtracking extraction
-    tries them, so when it finds none, no decomposition exists and
-    ValueError is raised, as for a labeling that is not magic.  That
-    happens: join a hub to one vertex t of each of three triangles t u w
-    and label uw 2, every other edge 1.  The index 3 is odd, and deleting
-    the hub leaves three odd components, so there is no index-1 piece.
-    ``budget`` caps the search nodes of the candidate search at the
-    allowed indices and, separately, the number of candidate pieces the
-    extraction tries.  ``_pool`` memoises the candidates per (graph,
+    1, and also 2 off bipartite graphs; ``_combination`` searches every
+    count of each, so when it finds no combination, no decomposition
+    exists and ValueError is raised, as for a labeling that is not magic.
+    That happens: join a hub to one vertex t of each of three triangles
+    t u w and label uw 2, every other edge 1.  The index 3 is odd, and
+    deleting the hub leaves three odd components, so there is no index-1
+    piece.  ``budget`` caps the search nodes of the candidate search at
+    the allowed indices and, separately, the counts the combination
+    search tries.  ``_pool`` memoises the candidates per (graph,
     min(lab, 2), budget): a hit searches no nodes, and a budget error is
     not cached, so each call returns or raises as a fresh search would.
     """
@@ -226,13 +246,13 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
         return []
     g = lab.graph
     pool = _pool(g, tuple(min(x, 2) for x in lab.labels), budget)
-    pieces = _extract(pool, lab.labels, idx, budget)
-    if pieces is None:
+    counts = _combination([p for _, p in pool], lab.labels, budget)
+    if counts is None:
         raise ValueError(
             "labeling has no decomposition into magic labelings of index 1 and 2"
         )
-    shared = {p: _made(g, p) for p in set(pieces)}
-    return [shared[p] for p in sorted(pieces)]
+    used = sorted((p, n) for (_, p), n in zip(pool, counts) if n)
+    return [piece for p, n in used for piece in [_made(g, p)] * n]
 
 
 @lru_cache(maxsize=512)
@@ -242,39 +262,6 @@ def _pool(g: Graph, caps: tuple[int, ...], budget: int | None):
     241 keys of gn(5)'s index 1-9 labelings.  Errors are not cached."""
     allowed = (1,) if is_bipartite(g) is not None else (1, 2)
     return tuple(sorted(_labelings(g, caps, allowed, budget)))
-
-
-def _extract(pool, labels, idx, budget) -> list[tuple[int, ...]] | None:
-    # Depth first: at each remainder take the first (index, piece) of the
-    # pool that fits and whose remainder is not known to be dead.  The
-    # stack holds (remainder, its index, next pool position) for each
-    # ancestor of the remainder being scanned, so the pieces taken so far
-    # are pool[start - 1] of its frames.
-    dead: set[tuple[int, ...]] = set()
-    stack = [(labels, idx, 0)]
-    tried = 0
-    while stack:
-        rem, rem_idx, start = stack.pop()
-        for i in range(start, len(pool)):
-            tried += 1
-            if budget is not None and tried > budget:
-                raise BudgetExceededError.over(
-                    "Stanley extraction", "pieces tried", budget, tried
-                )
-            p_idx, piece = pool[i]
-            if p_idx > rem_idx or not all(map(operator.le, piece, rem)):
-                continue
-            if p_idx == rem_idx:
-                return [pool[s - 1][1] for _, _, s in stack] + [piece]
-            nxt = tuple(map(operator.sub, rem, piece))
-            if nxt in dead:
-                continue
-            stack.append((rem, rem_idx, i + 1))
-            stack.append((nxt, rem_idx - p_idx, 0))
-            break
-        else:
-            dead.add(rem)
-    return None
 
 
 class QuasiperiodCertificate(Value):

@@ -290,9 +290,9 @@ class TestDecompose:
         assert "budget" in capsys.readouterr().err
         assert main(argv) == 0
 
-    def test_budget_caps_the_extraction(self, tmp_path, capsys):
-        # lstar(3) scaled to index 2,100: the candidate pool fits in a
-        # budget of 1,000, the 2,100 extraction steps do not.
+    def test_extraction_fits_in_the_pool_budget(self, tmp_path, capsys):
+        # lstar(3) scaled to index 2,100: the candidate search passes at a
+        # budget of 25, not 24, and the extraction tries three counts.
         lab = lstar(3)
         gpath = tmp_path / "g3.json"
         gpath.write_text(graph_to_json(lab.graph))
@@ -300,9 +300,9 @@ class TestDecompose:
         big = Labeling(lab.graph, tuple(700 * x for x in lab.labels))
         lpath.write_text(labeling_to_json(big))
         argv = ["decompose", "--graph", str(gpath), "--labeling", str(lpath)]
-        assert main(argv + ["--budget", "1000", "--format", "json"]) == 3
-        assert "budget" in capsys.readouterr().err
-        assert main(argv + ["--format", "json"]) == 0
+        assert main(argv + ["--budget", "24", "--format", "json"]) == 3
+        assert "search exceeded" in capsys.readouterr().err
+        assert main(argv + ["--budget", "25", "--format", "json"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 2100
 
     def test_boolean_label_is_a_usage_error(self, tmp_path, capsys):

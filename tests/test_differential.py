@@ -604,10 +604,10 @@ def stanley_cases(draw):
     return draw(st.sampled_from(labs))
 
 
-# Whether a decomposition exists, decided by the generator decomposition
-# over every allowed piece: the elements (piece, index) of the index
-# semigroup with the piece at most min(lab, 2), of index 1 or 2 (only 1
-# on a bipartite graph).
+# Whether a decomposition exists, decided by the recursive generator
+# decomposition over every allowed piece: the elements (piece, index) of
+# the index semigroup with the piece at most min(lab, 2), of index 1 or 2
+# (only 1 on a bipartite graph).
 @SETTINGS
 @given(stanley_cases())
 @example(hub_labeling())
@@ -620,7 +620,7 @@ def test_stanley_fails_exactly_when_no_decomposition_exists(lab):
         for p in enumerate_magic_bounded(g, caps)
         if is_magic(p) in allowed
     ]
-    exists = decompose_over_generators(SemigroupElement(lab, is_magic(lab)), gens)
+    exists = decompose_recursive(SemigroupElement(lab, is_magic(lab)), gens)
     try:
         pieces = stanley_decompose(lab)
     except ValueError as err:
@@ -629,6 +629,57 @@ def test_stanley_fails_exactly_when_no_decomposition_exists(lab):
     else:
         assert exists is not None
         assert [sum(col) for col in zip(*(p.labels for p in pieces))] == list(lab.labels)
+
+
+def extract_one_at_a_time(lab):
+    """The Stanley pieces as a search that takes one candidate at a time:
+    at each remainder the first (index, piece) of the sorted candidates
+    that fits and whose remainder is not known to be dead, restarting
+    the scan from the top.  Returns the sorted labels of the pieces, or
+    None when no decomposition exists."""
+    g, idx = lab.graph, is_magic(lab)
+    allowed = (1,) if is_bipartite(g) is not None else (1, 2)
+    caps = [min(x, 2) for x in lab.labels]
+    pool = sorted(
+        (is_magic(p), p.labels)
+        for p in enumerate_magic_bounded(g, caps)
+        if is_magic(p) in allowed
+    )
+    dead = set()
+    stack = [(lab.labels, idx, 0)]
+    while stack:
+        rem, rem_idx, start = stack.pop()
+        for i in range(start, len(pool)):
+            p_idx, piece = pool[i]
+            if p_idx > rem_idx or any(x > r for x, r in zip(piece, rem)):
+                continue
+            if p_idx == rem_idx:
+                return sorted([pool[s - 1][1] for _, _, s in stack] + [piece])
+            nxt = tuple(r - x for r, x in zip(rem, piece))
+            if nxt in dead:
+                continue
+            stack.append((rem, rem_idx, i + 1))
+            stack.append((nxt, rem_idx - p_idx, 0))
+            break
+        else:
+            dead.add(rem)
+    return None
+
+
+# The exact pieces, not only a valid split: the count-per-candidate search
+# returns what the one-candidate-at-a-time search returns.
+@SETTINGS
+@given(stanley_cases())
+@example(hub_labeling())
+def test_stanley_pieces_match_the_one_at_a_time_search(lab):
+    want = extract_one_at_a_time(lab)
+    try:
+        pieces = stanley_decompose(lab)
+    except ValueError as err:
+        assert "no decomposition" in str(err)
+        assert want is None
+    else:
+        assert [p.labels for p in pieces] == want
 
 
 # The memoised Stanley pool against the bounded enumeration, at two keys

@@ -361,6 +361,17 @@ class TestForcedMaxEdge:
         with pytest.raises(ValueError):
             forced_max_edge(g, enumerate_index_k(g, 1))
 
+    @pytest.mark.parametrize(
+        "g",
+        [make_gn(4), cycle_graph(4), path_graph(3)],
+        ids=["g4", "cycle4", "path3"],
+    )
+    def test_an_iterator_gives_the_answer_of_its_list(self, g):
+        # The iterator is read once: validating it must not exhaust it.
+        index2 = enumerate_index_k(g, 2)
+        assert forced_max_edge(g, iter(index2)) == forced_max_edge(g, index2)
+        assert forced_max_edge(g, iter([])) == "vacuous"
+
     def test_leaf_edges_always_attain_max(self):
         rng = random.Random(99)
         for _ in range(25):

@@ -15,7 +15,6 @@ from magiclab import (
     cycle_graph,
     decompose_over_generators,
     enumerate_index_k,
-    enumerate_magic_bounded,
     enumerate_magic_k,
     is_bipartite,
     is_magic,
@@ -30,7 +29,7 @@ from magiclab import (
     vertex_sum,
     verify_completely_fundamental,
 )
-from magiclab.semigroups import _pool, heights_lcm, validate_element
+from magiclab.semigroups import _combination, _pool, heights_lcm, validate_element
 from magiclab.verification import bridged_blocks
 
 
@@ -322,7 +321,8 @@ class TestStanleyDecompose:
 
 
     def test_large_index_does_not_hit_the_recursion_limit(self):
-        # lstar(3) scaled to index 2,100: one extraction step per piece
+        # lstar(3) scaled to index 2,100: a search taking one piece per
+        # level would be 2,100 levels deep
         lab = scaled(lstar(3), 700)
         pieces = stanley_decompose(lab)
         assert len(pieces) == 2100
@@ -333,16 +333,19 @@ class TestStanleyDecompose:
             assert is_magic(p) == 1 and set(p.labels) <= {0, 1}
             assert tuple(i for i, x in enumerate(p.labels) if x) in matchings
 
-    def test_budget_caps_the_extraction(self):
-        # 1,000 is enough for the candidate pool of this labeling (its
-        # enumeration alone passes) but not for the 2,100 extraction steps.
-        lab = scaled(lstar(3), 700)
-        caps = [min(x, 2) for x in lab.labels]
-        assert enumerate_magic_bounded(lab.graph, caps, budget=1000)
-        with pytest.raises(BudgetExceededError) as err:
-            stanley_decompose(lab, budget=1000)
-        assert (err.value.phase, err.value.consumed) == ("Stanley extraction", 1001)
-        assert len(stanley_decompose(lab, budget=10**4)) == 2100
+    def test_budget_caps_the_counts_tried(self):
+        # 7 = 3·2 + 1 fails at the last vector, so the search tries
+        # 3 and 0, then 2 and 1: four counts.
+        vecs, target = [(2,), (3,)], (7,)
+        for budget in range(4):
+            with pytest.raises(BudgetExceededError) as err:
+                _combination(vecs, target, budget)
+            assert (err.value.phase, err.value.consumed) == (
+                "Stanley extraction",
+                budget + 1,
+            )
+        assert _combination(vecs, target, 4) == [2, 1]
+        assert _combination(vecs, (1,), None) is None
 
     def test_a_repeated_labeling_reuses_its_pool(self):
         lab = scaled(lstar(3), 2)

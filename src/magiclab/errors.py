@@ -61,6 +61,8 @@ class BudgetExceededError(RuntimeError):
     - ``"search"``: nodes, the label values the labeling search offers;
     - ``"counting"``: state transitions of the counting DP;
     - ``"vertex enumeration"``: pair tests of the double description;
+    - ``"face enumeration"``: closures computed for the Ehrhart fit's
+      per-coefficient periods;
     - ``"Stanley extraction"``: counts tried by the combination search.
 
     ``phase`` names the phase, ``consumed`` is the work it had counted

@@ -206,6 +206,68 @@ def polytope_dimension(g: Graph, kind: str, *, budget: int | None = None) -> int
     return _polytope_facts(g, kind, budget)[2]
 
 
+def coefficient_periods(
+    g: Graph, kind: str, *, budget: int | None = None
+) -> tuple[int, ...]:
+    """A period p_i of each Ehrhart coefficient of t^i, i = 0 .. dim.
+
+    McMullen (1978; as stated by Beck, Sam and Woods 2008): the period of
+    the coefficient of t^i divides the least D such that the affine hull
+    of D·F holds a lattice point for every i-face F.  For one face the D
+    that work are the multiples of one that divides every vertex
+    denominator, so p_i = lcm over the i-faces of the gcd of their vertex
+    denominators is a multiple of it.  For each prime p of den, the
+    faces whose vertex denominators p all divides give p_i's p-part; they
+    are grown from single vertices one vertex at a time as closures of
+    bitmasks (a face's tight rows, x_e = 0 and for P x_e = t, are those
+    its vertices share; its vertices are all those tight on them), and
+    one ``_reduce`` rank gives each face's dimension.  ``budget`` caps the
+    pair tests of the vertex enumeration and, separately, the closures;
+    ``None`` means no cap.  den 1 needs no face; empty raises ValueError.
+    """
+    den = polytope_denominator(g, kind, budget=budget)
+    rays, _, dim = _polytope_facts(g, kind, budget)
+    periods = [1] * (dim + 1)
+    if den == 1:
+        return tuple(periods)
+    # Bit e of a vertex's mask: x_e = 0; bit m + e (P only): x_e = t.
+    m, upper = len(g.edges), kind == "P"
+    masks = [
+        sum(1 << e for e, c in enumerate(x) if c == 0)
+        | sum(1 << m + e for e, c in enumerate(x) if upper and c == t)
+        for t, *x in rays
+    ]
+    used = 0
+    for p in range(2, den + 1):
+        if den % p or any(p % f == 0 for f in range(2, p)):
+            continue  # not a prime of den
+        part = gcd(den, p ** den.bit_length())  # den's p-part
+        inside = [i for i, r in enumerate(rays) if r[0] % p == 0]
+        allowed = sum(1 << i for i in inside)
+        # Each face: its vertices as a bitmask over rays, and its tight rows.
+        todo = [(1 << i, masks[i]) for i in inside]
+        seen = {f for f, _ in todo}
+        while todo:
+            face, tight = todo.pop()
+            verts = [r for i, r in enumerate(rays) if face >> i & 1]
+            d = len(_reduce(verts)) - 1
+            periods[d] = lcm(periods[d], gcd(part, *(r[0] for r in verts)))
+            for i in inside:
+                if face >> i & 1:
+                    continue
+                used += 1
+                if budget is not None and used > budget:
+                    raise BudgetExceededError.over(
+                        "face enumeration", "closures", budget, used
+                    )
+                rows = tight & masks[i]
+                closure = sum(1 << j for j, z in enumerate(masks) if z & rows == rows)
+                if closure & ~allowed == 0 and closure not in seen:
+                    seen.add(closure)
+                    todo.append((closure, rows))
+    return tuple(periods)
+
+
 def format_point(pt) -> list[str]:
     """Coordinates rendered as exact fraction strings ("2", "1/3", ...)."""
     return [str(as_exact(c)) for c in pt]

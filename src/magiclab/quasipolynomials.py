@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb
+from math import comb, gcd, lcm
 
 from . import geometry, labelings
 from .errors import Value, as_exact, as_ints
@@ -163,42 +163,88 @@ class Quasipolynomial(Value):
         return Quasipolynomial(data["period"], parts)
 
 
-def samples_needed(period: int, degree: int) -> int:
-    """Samples ``fit_quasipolynomial`` needs: degree + 2 per residue."""
-    return period * (degree + 2)
-
-
-def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
-    """Exact interpolation of consecutive samples starting at 0.
-
-    ``samples[k]`` is the value at k.  Each residue class is fitted from
-    its first degree+1 samples, solving their Vandermonde system with
-    ``geometry._reduce``; every remaining sample then validates the fit,
-    so a wrong period or degree guess raises ValueError instead of
-    returning a bad quasipolynomial.  Needs ``samples_needed`` samples.
-    """
-    period, degree = as_ints((period, degree), "period and degree")
-    if period < 1:
+def _periods(period, degree) -> tuple[tuple[int, ...], int]:
+    # One period per coefficient of t^0 .. t^degree; an int is all alike.
+    many = isinstance(period, tuple)
+    ints = [*(period if many else [period]), degree]
+    *periods, degree = as_ints(ints, "period and degree")
+    if min(periods, default=0) < 1:
         raise ValueError("period must be positive")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    periods = tuple(periods) * (1 if many else degree + 1)
+    if len(periods) != degree + 1:
+        raise ValueError(f"need degree + 1 = {degree + 1} periods, got {len(periods)}")
+    return periods, degree
+
+
+def samples_needed(period, degree: int) -> int:
+    """Samples ``fit_quasipolynomial`` needs: sum(p) + max(p).
+
+    ``period`` is one period p_i per coefficient of t^i, or one int for
+    all of them, which gives period * (degree + 2).  The first sum(p)
+    samples determine the coefficients and the other max(p) validate
+    them.
+    """
+    periods, _ = _periods(period, degree)
+    return sum(periods) + max(periods)
+
+
+def fit_quasipolynomial(samples, period, degree: int) -> Quasipolynomial:
+    """Exact interpolation of consecutive samples starting at 0.
+
+    ``samples[k]`` is the value at k.  ``period`` is one period p_i per
+    coefficient of t^i, or one int for all of them; the result has
+    period lcm(p).  The sum(p) unknowns are solved from the first sum(p)
+    samples with ``geometry._reduce``, and every remaining sample then
+    validates the fit, so a wrong period or degree guess that one of them
+    refutes raises ValueError instead of returning a bad quasipolynomial.
+    Needs ``samples_needed`` samples.  When each p_i divides p_(i-1), as
+    in every Ehrhart bound, the fitted functions solve a linear
+    recurrence of order sum(p), so the first sum(p) samples determine
+    them; for other periods, a system they leave short of full rank
+    raises ValueError.
+    """
+    periods, degree = _periods(period, degree)
     values = list(map(as_exact, samples))
-    need = samples_needed(period, degree)
+    need = samples_needed(periods, degree)
     if len(values) < need:
         raise ValueError(f"need at least {need} samples, got {len(values)}")
-    parts = []
-    for r in range(period):
-        # Rows value(t) = sum of c_i t^i, scaled to integers; the points t
-        # are distinct, so the reduced rows are diagonal: c_i = p[-1] / p[i].
+    # The unknown a[i][r] is the coefficient of t^i at t = r mod p_i.  Two
+    # samples share an unknown only if they agree mod g = gcd(p), so the
+    # system splits into one block per class c mod g: its u unknowns (those
+    # with r = c mod g, a[i][r] in column start[i] + r // g) and its u
+    # samples below sum(p).  With one period, each block is one residue's
+    # Vandermonde system.
+    size, g = sum(periods), gcd(*periods)
+    u = size // g
+    start = [sum(periods[:i]) // g for i in range(degree + 1)]
+    a = [[None] * p for p in periods]
+    for c in range(g):
         rows = []
-        for t in range(r, r + period * (degree + 1), period):
+        for t in range(c, size, g):
             n, d = values[t].as_integer_ratio()
-            rows.append([d * t**i for i in range(degree + 1)] + [n])
+            row = [0] * u + [n]
+            for i, p in enumerate(periods):
+                row[start[i] + t % p // g] = d * t**i
+            rows.append(row)
+        # Full rank leaves one pivot row per unknown, diagonal in them.
         reduced = geometry._reduce(rows)
-        parts.append(tuple(Fraction(p[-1], p[i]) for i, p in enumerate(reduced)))
-    q = Quasipolynomial(period, tuple(parts))
-    for k, v in enumerate(values):
-        if q.evaluate(k) != v:
+        if len(reduced) < u or not reduced[-1][u - 1]:
+            raise ValueError(
+                f"the first {size} samples do not determine coefficients "
+                f"of periods {periods}"
+            )
+        for i, p in enumerate(periods):
+            for r in range(c, p, g):
+                k = start[i] + r // g
+                a[i][r] = Fraction(reduced[k][-1], reduced[k][k])
+    s = lcm(*periods)
+    parts = (tuple(a[i][r % p] for i, p in enumerate(periods)) for r in range(s))
+    q = Quasipolynomial(s, tuple(parts))
+    # The first sum(p) samples hold exactly, as the system's solution.
+    for k in range(size, len(values)):
+        if q.evaluate(k) != values[k]:
             raise ValueError(
                 f"samples do not follow a quasipolynomial of period {period} "
                 f"and degree {degree} (first mismatch at {k})"
@@ -211,26 +257,30 @@ def ehrhart_of_polytope(
 ) -> Quasipolynomial:
     """Lattice-point counting quasipolynomial of the magic polytope.
 
-    The vertex denominators fix the fitting period and the vertex set's
-    affine rank the degree; counts for k = 0 .. K, the fit's
-    ``samples_needed``, come from the counting dynamic program, and the
-    validated fit is returned, keeping only its minimum period.  For P
+    ``geometry.coefficient_periods`` gives the degree and McMullen's
+    period p_i of each coefficient (n - 1 for the constant term of
+    gn(n)/P, 1 for the rest); counts for k = 0 .. K, the fit's
+    ``samples_needed`` window sum(p) + max(p) (3n - 2 for gn(n)/P, not the
+    den * (dim + 2) of one period den for all), come from the counting
+    dynamic program, and the validated fit is returned, keeping only its
+    minimum period.  For P
     they come from one ``labelings.count_series`` sweep (each pass at an
     index up to k runs once, not once per k).  For Q they come from one
     DP call at cap K over the targets 0..K: a cap of at least t never
     binds at target t, so its pass at t is that of ``count_index_k(g, t)``.
     Each pass runs on the label bounds its target allows.  ``budget`` caps
-    the vertex-enumeration pair tests and, separately, the state
-    transitions of all the counts together, so it bounds the sweep's total
-    work; ``None`` means no cap on either.
+    the vertex-enumeration pair tests, the closures of the face
+    enumeration and, separately, the state transitions of all the counts
+    together, so it bounds the sweep's total work; ``None`` means no cap
+    on any.
     """
-    den = geometry.polytope_denominator(g, kind, budget=budget)
-    dim = geometry.polytope_dimension(g, kind, budget=budget)
-    top = samples_needed(den, dim) - 1
+    periods = geometry.coefficient_periods(g, kind, budget=budget)
+    dim = len(periods) - 1
+    top = samples_needed(periods, dim) - 1
     if kind == "P":
         values = labelings.count_series(g, top, budget=budget)[0]
     else:
         # No target above the least vertex capacity runs; those count 0.
         values = labelings._count(g, [top] * len(g.edges), 0, top, budget)[0]
         values += [0] * (top + 1 - len(values))
-    return fit_quasipolynomial(values, den, dim)
+    return fit_quasipolynomial(values, periods, dim)

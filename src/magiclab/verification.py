@@ -181,12 +181,15 @@ def check_minimum_quasiperiod_values() -> str | None:
 
 
 def check_quasiperiod_divides_denominator() -> str | None:
-    # The fitted period, the denominator, is a multiple of the least one by
-    # construction; so test it on one more period past the fit's samples.
+    # The fit saw the counts below its window only, so one full period of
+    # the denominator past the window tests it at every residue.
     for name, g in corpus():
         den = geometry.polytope_denominator(g, "P")
-        window = samples_needed(den, geometry.polytope_dimension(g, "P"))
+        periods = geometry.coefficient_periods(g, "P")
         q = _ehrhart_p(g)
+        if den % q.period:
+            return f"{name}: quasiperiod {q.period} does not divide {den}"
+        window = samples_needed(periods, len(periods) - 1)
         for t in range(window, window + den):
             got = labelings.count_magic_k(g, t)
             if got != q.evaluate(t):

@@ -34,18 +34,22 @@ from magiclab import (
     count_magic_k,
     count_series,
     decompose_over_generators,
+    ehrhart_of_polytope,
     enumerate_index_k,
     enumerate_magic_bounded,
     enumerate_magic_k,
     is_bipartite,
     is_magic,
+    fit_quasipolynomial,
     lstar,
     make_gn,
+    make_gnp,
     matching_preclusion_class,
     max_label,
     path_graph,
     perfect_matchings,
     point_denominator,
+    polytope_denominator,
     polytope_dimension,
     polytope_vertices,
     stanley_decompose,
@@ -57,6 +61,7 @@ from magiclab.semigroups import _is_multiple, _pool, validate_element
 from test_geometry import brute_vertices, rref
 from test_graphs import brute_perfect_matchings
 from test_semigroups import hub_labeling
+from magiclab.verification import corpus
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
@@ -700,3 +705,56 @@ def test_stanley_pool_matches_the_bounded_enumeration(lab):
         )
         assert list(_pool(g, key, None)) == want
         assert list(_pool(g, key, None)) == want
+
+
+def full_window_fit(g, kind):
+    """The fit with one period, den, for every coefficient: den * (dim + 2)
+    counts, each residue fitted from its own dim + 1 of them."""
+    den, dim = polytope_denominator(g, kind), polytope_dimension(g, kind)
+    n = den * (dim + 2)
+    if kind == "P":
+        values = count_series(g, n - 1)[0]
+    else:
+        values = [count_index_k(g, k) for k in range(n)]
+    return fit_quasipolynomial(values, den, dim)
+
+
+def assert_same_ehrhart(g, kind):
+    if not polytope_vertices(g, kind):
+        with pytest.raises(ValueError, match="empty"):
+            ehrhart_of_polytope(g, kind)
+        return
+    assert ehrhart_of_polytope(g, kind).to_json() == full_window_fit(g, kind).to_json()
+
+
+NAMED = [(name, g) for name, g in corpus()]
+NAMED += [(f"gn{n}", make_gn(n)) for n in range(2, 8)]
+NAMED += [(f"gnp{n}_{p}", make_gnp(n, p)) for n in range(2, 6) for p in range(1, 4)]
+
+
+# McMullen's per-coefficient window against the full per-residue window.
+@pytest.mark.parametrize("kind", "PQ")
+@pytest.mark.parametrize("g", [g for _, g in NAMED], ids=[name for name, _ in NAMED])
+def test_ehrhart_matches_the_full_window_fit(g, kind):
+    assert_same_ehrhart(g, kind)
+
+
+@st.composite
+def odd_loop_graphs(draw):
+    """A triangle, up to 2 links to a fourth vertex and a loop or none at
+    each vertex: P's denominator is often 2, with p_1 > 1 too."""
+    n = draw(st.integers(3, 4))
+    vs = tuple(f"v{i}" for i in range(n))
+    links = draw(st.lists(st.sampled_from(range(3)), max_size=2, unique=True))
+    edges = [(vs[0], vs[1]), (vs[1], vs[2]), (vs[0], vs[2])]
+    edges += [(vs[a], vs[3]) for a in links] if n == 4 else []
+    loops = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    edges += [(v, v) for v, loop in zip(vs, loops) if loop]
+    return Graph(vs, tuple(edges))
+
+
+@settings(SETTINGS, max_examples=80)
+@given(odd_loop_graphs())
+def test_ehrhart_matches_the_full_window_fit_on_loop_graphs(g):
+    for kind in "PQ":
+        assert_same_ehrhart(g, kind)

@@ -16,7 +16,9 @@ from magiclab import (
     Labeling,
     bouquet,
     build_graph,
+    coefficient_periods,
     cycle_graph,
+    ehrhart_of_polytope,
     is_bipartite,
     is_magic,
     li_matching,
@@ -383,6 +385,69 @@ class TestPolytopeDimension:
             if not polytope_vertices(g, "Q"):
                 continue
             assert polytope_dimension(g, "Q") < polytope_dimension(g, "P")
+
+
+def eight_edges():
+    """Five vertices, eight edges: P has denominator 6, fitted period 3."""
+    edges = "01 02 03 04 12 13 24 34".split()
+    return build_graph(list("01234"), [list(e) for e in edges])
+
+
+class TestCoefficientPeriods:
+    def test_gn_p_only_the_constant_term(self):
+        # gn(n)'s one fractional vertex, lstar / (n - 1), is its one face
+        # with no integral vertex.
+        for n in range(2, 9):
+            assert coefficient_periods(make_gn(n), "P") == (n - 1,) + (1,) * n
+
+    def test_eight_edges(self):
+        # McMullen's bound is 6 on the constant term; the least period of
+        # the counts is 3.
+        g = eight_edges()
+        assert coefficient_periods(g, "P") == (6, 1, 1, 1, 1)
+        assert polytope_denominator(g, "P") == 6
+        assert ehrhart_of_polytope(g, "P").period == 3
+
+    def test_a_polytope_with_no_integral_vertex(self):
+        # Every vertex of the eight-edge graph's Q has denominator 2, so Q
+        # is itself a face with no integral vertex.
+        assert coefficient_periods(eight_edges(), "Q") == (2, 2, 2, 2)
+
+    def test_integral_vertices_give_ones(self):
+        assert coefficient_periods(bridged_blocks(), "P") == (1,) * (
+            polytope_dimension(bridged_blocks(), "P") + 1
+        )
+        assert coefficient_periods(path_graph(3), "P") == (1,)
+
+    def test_each_period_divides_the_one_before_and_den(self):
+        for _, g in corpus():
+            for kind in "PQ":
+                if not polytope_vertices(g, kind):
+                    continue
+                p = coefficient_periods(g, kind)
+                assert len(p) == polytope_dimension(g, kind) + 1
+                assert p[0] == polytope_denominator(g, kind)
+                assert all(a % b == 0 for a, b in zip(p, p[1:]))
+
+    def test_empty_polytope_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            coefficient_periods(path_graph(3), "Q")
+
+    def test_face_enumeration_budget(self):
+        # The eight-edge graph's Q takes 17 pair tests and 176 closures.
+        g = eight_edges()
+        assert coefficient_periods(g, "Q", budget=176) == (2, 2, 2, 2)
+        for run in (coefficient_periods, ehrhart_of_polytope):
+            with pytest.raises(BudgetExceededError) as err:
+                run(g, "Q", budget=175)
+            assert (err.value.phase, err.value.consumed, err.value.budget) == (
+                "face enumeration",
+                176,
+                175,
+            )
+            assert str(err.value) == (
+                "face enumeration exceeded the budget of 175 closures (reached 176)"
+            )
 
 
 class TestFactsCache:

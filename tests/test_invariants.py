@@ -4,8 +4,9 @@ No computational path may use floating point: every module under
 ``src/magiclab`` is parsed and searched for float literals, any use of
 the name ``float`` (calls included) and the floating-point functions of
 ``math``.  The vertex enumeration's double description, the row
-reduction behind dimensions and the quasipolynomial fit, and the
-counting DP with its label bounds, run on integers alone and never name
+reduction behind dimensions and the quasipolynomial fit, the face
+enumeration behind the fit's per-coefficient periods, and the counting
+DP with its label bounds, run on integers alone and never name
 ``Fraction``.  No function
 calls itself by name, so no input can reach the recursion limit.  Every
 name the package exports is used by another module or by a test.  Every
@@ -101,7 +102,13 @@ def test_detector_catches(source):
 
 
 INTEGER_ONLY = {
-    "geometry.py": ("_primitive", "_combine", "_reduce", "_extreme_rays"),
+    "geometry.py": (
+        "_primitive",
+        "_combine",
+        "_reduce",
+        "_extreme_rays",
+        "coefficient_periods",
+    ),
     "labelings.py": ("_bounds", "_count_plan", "_count"),
 }
 

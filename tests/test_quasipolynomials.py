@@ -20,6 +20,8 @@ from magiclab import (
     make_gn,
     path_graph,
 )
+from magiclab import geometry
+from magiclab.quasipolynomials import samples_needed
 
 F = Fraction
 
@@ -245,6 +247,51 @@ class TestFit:
     def test_true_period_is_one(self):
         assert fit_quasipolynomial([1] * 6, True, 0).period == 1
 
+    def test_per_coefficient_periods(self):
+        # gn(4): only the constant term has period 3, so 3 + 4 unknowns,
+        # found from the first 7 counts and checked on 3 more.
+        samples = [count_magic_k(make_gn(4), k) for k in range(10)]
+        assert samples_needed((3, 1, 1, 1, 1), 4) == 10
+        assert fit_quasipolynomial(samples, (3, 1, 1, 1, 1), 4) == G4_EXPECTED
+
+    def test_one_period_is_every_coefficients(self):
+        assert samples_needed(3, 4) == samples_needed((3,) * 5, 4) == 18
+        samples = [count_magic_k(make_gn(4), k) for k in range(18)]
+        assert fit_quasipolynomial(samples, (3,) * 5, 4) == G4_EXPECTED
+
+    def test_too_small_a_coefficient_period_detected(self):
+        # Every p_i = 1 fits a polynomial to the counts at 0..4, which the
+        # count at 6 refutes.
+        samples = [count_magic_k(make_gn(4), k) for k in range(10)]
+        with pytest.raises(ValueError, match="first mismatch at 6"):
+            fit_quasipolynomial(samples, (1,) * 5, 4)
+
+    @pytest.mark.parametrize(
+        "periods, degree, match",
+        [
+            ((1, 1), 2, "need degree \\+ 1 = 3 periods, got 2"),
+            ((1, 0), 1, "period must be positive"),
+            ((1, 1.0), 1, "period and degree must be integers"),
+            ((1,), 0.5, "period and degree must be integers"),
+            ((), -1, "period must be positive"),
+        ],
+    )
+    def test_bad_periods_rejected(self, periods, degree, match):
+        with pytest.raises(ValueError, match=match):
+            fit_quasipolynomial([1] * 8, periods, degree)
+
+    def test_needs_the_per_coefficient_window(self):
+        with pytest.raises(ValueError, match="need at least 5 samples, got 4"):
+            fit_quasipolynomial([1] * 4, (2, 1), 1)
+
+    def test_a_system_short_of_full_rank_raises(self, monkeypatch):
+        # No periods are known whose first sum(p) samples leave the system
+        # short of full rank; a reduction that loses a row stands in.
+        reduce = geometry._reduce
+        monkeypatch.setattr(geometry, "_reduce", lambda rows: reduce(rows)[:-1])
+        with pytest.raises(ValueError, match="first 3 samples do not determine"):
+            fit_quasipolynomial([1] * 5, (2, 1), 1)
+
     def test_round_trip_on_every_sample(self):
         samples = [f_n(3, k) for k in range(24)]
         q = fit_quasipolynomial(samples, 3, 4)
@@ -277,6 +324,30 @@ def test_fit_round_trips_an_exact_quasipolynomial(case):
             n = wrong * least * (degree + 2)
             with pytest.raises(ValueError):
                 fit_quasipolynomial([q.evaluate(k) for k in range(n)], wrong, degree)
+
+
+@st.composite
+def per_coefficient_quasipolynomials(draw):
+    """Degree 0..4, a period 1..4 per coefficient, small exact values."""
+    degree = draw(st.integers(0, 4))
+    periods = tuple(draw(st.integers(1, 4)) for _ in range(degree + 1))
+    coeff = st.one_of(
+        st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    )
+    a = [[draw(coeff) for _ in range(p)] for p in periods]
+    s = lcm(*periods)
+    parts = tuple(tuple(a[i][r % p] for i, p in enumerate(periods)) for r in range(s))
+    return periods, Quasipolynomial(s, parts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(per_coefficient_quasipolynomials())
+def test_fit_round_trips_per_coefficient_periods(case):
+    periods, q = case
+    degree = len(periods) - 1
+    n = samples_needed(periods, degree)
+    assert n == sum(periods) + max(periods)
+    assert fit_quasipolynomial([q.evaluate(k) for k in range(n)], periods, degree) == q
 
 
 class TestMinimumQuasiperiod:
@@ -348,22 +419,24 @@ class TestEhrhart:
             match="counting exceeded the budget of 36 state transitions",
         ):
             ehrhart_of_polytope(make_gn(4), budget=36)
-        # The 18 counts share one budget: 21,084 transitions in all, though
-        # the largest step of the sweep (k = 17: the index pass at 17 and
-        # the passes at 18..34 that the cap binds) takes 3,780.
-        assert ehrhart_of_polytope(make_gn(4), budget=21084).minimum_quasiperiod() == 3
-        for budget, reached in ((21083, 21084), (3780, 3781)):
+        # The 10 counts of the window (periods 3, 1, 1, 1, 1) share one
+        # budget: 2,976 transitions in all, though the largest step of the
+        # sweep (k = 9: the index pass at 9 and the passes above it that
+        # the cap binds) takes 840.
+        assert ehrhart_of_polytope(make_gn(4), budget=2976).minimum_quasiperiod() == 3
+        for budget, reached in ((2975, 2976), (840, 841)):
             with pytest.raises(BudgetExceededError) as err:
                 ehrhart_of_polytope(make_gn(4), budget=budget)
             assert (err.value.phase, err.value.consumed) == ("counting", reached)
 
     def test_bounds_propagation_trims_the_gn5_sweep(self):
-        # gn(5)/P takes 117,768 transitions; with the raw caps as the
-        # label bounds of every pass (no propagation) it took 292,138.
-        assert ehrhart_of_polytope(make_gn(5), budget=117768).minimum_quasiperiod() == 4
+        # gn(5)/P takes 8,328 transitions over its 13 samples; with the raw
+        # caps as the label bounds of every pass (no propagation), the 28
+        # samples of one period 4 for every coefficient took 292,138.
+        assert ehrhart_of_polytope(make_gn(5), budget=8328).minimum_quasiperiod() == 4
         with pytest.raises(BudgetExceededError) as err:
-            ehrhart_of_polytope(make_gn(5), budget=117767)
-        assert (err.value.phase, err.value.consumed) == ("counting", 117768)
+            ehrhart_of_polytope(make_gn(5), budget=8327)
+        assert (err.value.phase, err.value.consumed) == ("counting", 8328)
 
     def test_one_budget_caps_the_q_sweep(self):
         # gn(5)/Q: the passes at targets 0..K take 735 transitions in all.

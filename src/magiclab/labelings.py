@@ -46,8 +46,8 @@ def is_magic(lab: Labeling) -> int | None:
     valid magic labeling, so compare the result against None rather than
     testing truthiness.
     """
-    labels, inc = lab.labels, lab.graph.incidence
-    sums = {sum(labels[ei] for ei in inc[v]) for v in lab.graph.vertices}
+    get = lab.labels.__getitem__
+    sums = {sum(map(get, es)) for es in lab.graph.incidence.values()}
     if not sums:
         return 0
     if len(sums) == 1:
@@ -88,16 +88,17 @@ def li_matching(n: int, i: int) -> Labeling:
 
 
 @lru_cache(maxsize=64)
-def _assignment_order(g: Graph) -> tuple[int, ...]:
+def _assignment_order(g: Graph) -> tuple[tuple[int, int, int], ...]:
     # Static DFS order: repeatedly take the unassigned edges of the vertex
     # with the fewest unassigned incident edges.  Vertex sums then close as
     # early as possible, so most labels are forced instead of branched on.
-    # Pure per graph and asked for by every search and count, so memoised.
+    # Pure per graph and asked for by every search and count, so memoised,
+    # each edge with its ends' vertex indices: (edge, end 1, end 2).
     vidx = {v: i for i, v in enumerate(g.vertices)}
     inc = [list(g.incidence[v]) for v in g.vertices]
     remaining = [len(es) for es in inc]
     unassigned = [True] * len(g.edges)
-    order: list[int] = []
+    order: list[tuple[int, int, int]] = []
     while len(order) < len(g.edges):
         best = -1
         for vi in range(len(g.vertices)):
@@ -106,8 +107,8 @@ def _assignment_order(g: Graph) -> tuple[int, ...]:
         for ei in inc[best]:
             if unassigned[ei]:
                 unassigned[ei] = False
-                order.append(ei)
                 u, w = g.edges[ei]
+                order.append((ei, vidx[u], vidx[w]))
                 remaining[vidx[u]] -= 1
                 if w != u:
                     remaining[vidx[w]] -= 1
@@ -123,15 +124,12 @@ def _steps(g: Graph, caps):
     No vertex sum can grow past what its edges still to come allow, so
     the capacity left bounds a label from below.
     """
-    vidx = {v: i for i, v in enumerate(g.vertices)}
     # Walked backwards, the capacity left after an edge is what its ends
     # have gathered so far, and the totals are the capacities.
     capacity = [0] * len(g.vertices)
     steps = []
-    for ei in reversed(_assignment_order(g)):
-        u, w = g.edges[ei]
+    for ei, ui, wi in reversed(_assignment_order(g)):
         cap = caps[ei]
-        ui, wi = vidx[u], vidx[w]
         if ui == wi:
             steps.append((ei, cap, ((ui, capacity[ui]),)))
         else:
@@ -267,8 +265,7 @@ def _count_plan(g: Graph):
     # _assignment_order (the order of _steps) becomes the slots of its two
     # ends, a loop's one end twice, whether it is a loop, and the (vertex,
     # slot) pairs of the ends it closes.  Pure per graph, so memoised.
-    vidx = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(vidx[g.edges[ei][0]], vidx[g.edges[ei][1]]) for ei in _assignment_order(g)]
+    ends = [(ui, wi) for _, ui, wi in _assignment_order(g)]
     last = {vi: t for t, pair in enumerate(ends) for vi in pair}
     slot: dict[int, int] = {}
     plan = []

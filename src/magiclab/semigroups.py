@@ -226,18 +226,19 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     Pieces sum to the input entrywise, sorted by labels, with one object
     per distinct piece.  On bipartite graphs every piece has index 1 (a
     perfect-matching indicator).  The zero labeling gives the empty
-    list.  Candidates are the magic labelings below min(lab, 2) at index
-    1, and also 2 off bipartite graphs; ``_combination`` searches every
+    list.  A piece's index, so each of its labels, is at most top: 1 on
+    bipartite graphs, else 2.  Candidates are the magic labelings below
+    min(lab, top) of index 1 to top; ``_combination`` searches every
     count of each, so when it finds no combination, no decomposition
     exists and ValueError is raised, as for a labeling that is not magic.
     That happens: join a hub to one vertex t of each of three triangles
     t u w and label uw 2, every other edge 1.  The index 3 is odd, and
     deleting the hub leaves three odd components, so there is no index-1
-    piece.  ``budget`` caps the search nodes of the candidate search at
-    the allowed indices and, separately, the counts the combination
-    search tries.  ``_pool`` memoises the candidates per (graph,
-    min(lab, 2), budget): a hit searches no nodes, and a budget error is
-    not cached, so each call returns or raises as a fresh search would.
+    piece.  ``budget`` caps the search nodes of the candidate search and,
+    separately, the counts the combination search tries.  ``_pool``
+    memoises the candidates per (graph, min(lab, top), budget): a hit
+    searches no nodes, and a budget error is not cached, so each call
+    returns or raises as a fresh search would.
     """
     idx = is_magic(lab)
     if idx is None:
@@ -245,7 +246,8 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     if idx == 0:
         return []
     g = lab.graph
-    pool = _pool(g, tuple(min(x, 2) for x in lab.labels), budget)
+    top = _top(g)
+    pool = _pool(g, tuple(min(x, top) for x in lab.labels), budget)
     counts = _combination([p for _, p in pool], lab.labels, budget)
     if counts is None:
         raise ValueError(
@@ -255,13 +257,18 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     return [piece for p, n in used for piece in [_made(g, p)] * n]
 
 
+@lru_cache(maxsize=64)
+def _top(g: Graph) -> int:
+    """The largest index of a Stanley piece on g, memoised per graph."""
+    return 1 if is_bipartite(g) is not None else 2
+
+
 @lru_cache(maxsize=512)
 def _pool(g: Graph, caps: tuple[int, ...], budget: int | None):
-    """The Stanley candidates at most ``caps``, as sorted (index, labels),
-    memoised per positional (graph, caps, budget): 512 entries hold the
-    241 keys of gn(5)'s index 1-9 labelings.  Errors are not cached."""
-    allowed = (1,) if is_bipartite(g) is not None else (1, 2)
-    return tuple(sorted(_labelings(g, caps, allowed, budget)))
+    """The Stanley candidates at most ``caps`` of index 1 to ``_top(g)``,
+    sorted (index, labels), memoised per positional (graph, caps, budget):
+    gn(5)'s index 1-9 labelings need 31 of 512 entries.  Errors are not cached."""
+    return tuple(sorted(_labelings(g, caps, range(1, _top(g) + 1), budget)))
 
 
 class QuasiperiodCertificate(Value):

@@ -57,7 +57,7 @@ from magiclab import (
 )
 from magiclab.geometry import _polytope_facts, _reduce
 from magiclab.labelings import _bounds, _count, _labelings, _steps
-from magiclab.semigroups import _is_multiple, _pool, validate_element
+from magiclab.semigroups import _combination, _is_multiple, _pool, validate_element
 from test_geometry import brute_vertices, rref
 from test_graphs import brute_perfect_matchings
 from test_semigroups import hub_labeling
@@ -705,6 +705,52 @@ def test_stanley_pool_matches_the_bounded_enumeration(lab):
         )
         assert list(_pool(g, key, None)) == want
         assert list(_pool(g, key, None)) == want
+
+
+def triangle_and_loop():
+    """A triangle labeled 1 beside a vertex whose loop is labeled 2: magic
+    of index 2 off a bipartite graph, with no perfect matching, so its one
+    piece is itself, which has a label of 2."""
+    g = Graph(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("a", "c"), ("d", "d")))
+    return Labeling(g, (1, 1, 1, 2))
+
+
+def least_search_budget(g, caps):
+    """The least budget at which the index-1 search below ``caps`` passes."""
+    budget = 0
+    while True:
+        try:
+            list(_labelings(g, caps, (1,), budget))
+        except BudgetExceededError:
+            budget += 1
+        else:
+            return budget
+
+
+# The pool keyed by min(lab, top) against the pool keyed by min(lab, 2):
+# the pieces are the ones the combination search picks from the latter,
+# and on a bipartite graph (top 1) the narrower search offers no more
+# label values.
+@SETTINGS
+@given(stanley_cases())
+@example(hub_labeling())
+@example(triangle_and_loop())
+def test_stanley_pieces_match_the_min_2_pool(lab):
+    g = lab.graph
+    wide = tuple(min(x, 2) for x in lab.labels)
+    pool = _pool(g, wide, None)
+    counts = _combination([p for _, p in pool], lab.labels, None)
+    try:
+        pieces = stanley_decompose(lab)
+    except ValueError as err:
+        assert "no decomposition" in str(err)
+        assert counts is None
+    else:
+        want = sorted(p for (_, p), n in zip(pool, counts) for _ in range(n))
+        assert [p.labels for p in pieces] == want
+    if is_bipartite(g) is not None:
+        narrow = tuple(min(x, 1) for x in lab.labels)
+        assert least_search_budget(g, narrow) <= least_search_budget(g, wide)
 
 
 def full_window_fit(g, kind):

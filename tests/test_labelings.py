@@ -464,8 +464,11 @@ class TestBudget:
 
 
 def test_assignment_order_is_memoised_per_graph():
-    order = _assignment_order(make_gn(5))
-    assert isinstance(order, tuple) and sorted(order) == list(range(15))
+    g = make_gn(5)
+    order = _assignment_order(g)
+    assert isinstance(order, tuple) and sorted(ei for ei, _, _ in order) == list(range(15))
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    assert all((ui, wi) == tuple(map(vidx.get, g.edges[ei])) for ei, ui, wi in order)
     assert _assignment_order(make_gn(5)) is order
 
 

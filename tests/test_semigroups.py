@@ -358,15 +358,16 @@ class TestStanleyDecompose:
         assert len(first) == 6
 
     def test_gn5_searches_one_pool_per_key(self):
-        # The 2,001 labelings of gn(5) of index 1-9 have 241 distinct
-        # min(lab, 2); each pool is searched once and reused after.
+        # The 2,001 labelings of gn(5) of index 1-9 have 31 distinct
+        # supports, min(lab, 1) on this bipartite graph; each pool is
+        # searched once and reused after.
         g = make_gn(5)
         labs = [lab for k in range(1, 10) for lab in enumerate_index_k(g, k)]
         _pool.cache_clear()
         for lab in labs:
             stanley_decompose(lab)
         info = _pool.cache_info()
-        assert (len(labs), info.misses, info.hits) == (2001, 241, 1760)
+        assert (len(labs), info.misses, info.hits) == (2001, 31, 1970)
 
     def test_a_pool_search_over_budget_raises_every_time(self):
         # The pool at budget None is memoised, but not for budget 5, and

@@ -45,6 +45,15 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+def _report(fmt: str, payload, lines) -> None:
+    """Print ``payload`` as one JSON line under ``json``, else ``lines``."""
+    if fmt == "json":
+        _print_json(payload)
+    else:
+        for line in lines:
+            print(line)
+
+
 def _emit(fmt: str, columns, rows, human) -> None:
     """Print a table whose rows are tuples in ``columns`` order.
 
@@ -64,16 +73,14 @@ def _emit(fmt: str, columns, rows, human) -> None:
             print(human(row))
 
 
-def _cmd_count(args) -> int:
-    g = _load_graph(args.graph)
-    value = labelings.count_magic_k(g, args.k, budget=_budget(args))
+def _cmd_count(args, g, budget) -> int:
+    value = labelings.count_magic_k(g, args.k, budget=budget)
     _emit(args.format, ("k", "count"), [(args.k, str(value))], lambda row: row[1])
     return EXIT_OK
 
 
-def _cmd_series(args) -> int:
-    g = _load_graph(args.graph)
-    magic, index = labelings.count_series(g, args.kmax, budget=_budget(args))
+def _cmd_series(args, g, budget) -> int:
+    magic, index = labelings.count_series(g, args.kmax, budget=budget)
     columns = ("k", "magic_count")
     series = [magic]
     if args.with_index:
@@ -98,28 +105,23 @@ def _format_polynomial(coeffs) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _cmd_ehrhart(args) -> int:
-    g = _load_graph(args.graph)
-    budget = _budget(args)
-    q = quasipolynomials.ehrhart_of_polytope(g, args.polytope, budget=budget)
-    den = geometry.polytope_denominator(g, args.polytope, budget=budget)
-    if args.format == "json":
-        payload = json.loads(q.to_json())
-        payload.update(polytope=args.polytope, denominator=den)
-        _print_json({**payload, "minimum_quasiperiod": q.period})
-    else:
-        print(f"polytope: {args.polytope}")
-        print(f"denominator: {den}")
-        print(f"minimum quasiperiod: {q.period}")
-        print(f"period: {q.period}")
-        for r, cs in enumerate(q.constituents):
-            print(f"residue {r}: {_format_polynomial(cs)}")
+def _cmd_ehrhart(args, g, budget) -> int:
+    kind = args.polytope
+    q = quasipolynomials.ehrhart_of_polytope(g, kind, budget=budget)
+    den = geometry.polytope_denominator(g, kind, budget=budget)
+    payload = json.loads(q.to_json())
+    payload.update(polytope=kind, denominator=den, minimum_quasiperiod=q.period)
+    lines = [f"polytope: {kind}", f"denominator: {den}"]
+    lines += [f"minimum quasiperiod: {q.period}", f"period: {q.period}"]
+    lines += [
+        f"residue {r}: {_format_polynomial(cs)}" for r, cs in enumerate(q.constituents)
+    ]
+    _report(args.format, payload, lines)
     return EXIT_OK
 
 
-def _cmd_vertices(args) -> int:
-    g = _load_graph(args.graph)
-    verts = geometry.polytope_vertices(g, args.polytope, budget=_budget(args))
+def _cmd_vertices(args, g, budget) -> int:
+    verts = geometry.polytope_vertices(g, args.polytope, budget=budget)
     rows = [tuple(geometry.format_point(v)) for v in verts]
     if args.format == "json":
         _print_json(rows)
@@ -129,9 +131,7 @@ def _cmd_vertices(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cf(args) -> int:
-    g = _load_graph(args.graph)
-    budget = _budget(args)
+def _cmd_cf(args, g, budget) -> int:
     elems = semigroups.cf_elements(g, args.polytope, budget=budget)
     verdicts = [
         semigroups.verify_completely_fundamental(
@@ -139,69 +139,55 @@ def _cmd_cf(args) -> int:
         )
         for elem in (elems if args.verify else ())
     ]
-    if args.format == "json":
-        payload = [
-            {"labels": list(e.labeling.labels), "height": e.height} for e in elems
-        ]
-        for entry, v in zip(payload, verdicts):
-            entry["refuted"] = v.refuted
-        _print_json(payload)
-    else:
-        notes = [
-            f" refuted at m={v.m}" if v.refuted else f" unrefuted up to m={v.m_max}"
-            for v in verdicts
-        ] or [""] * len(elems)
-        for elem, note in zip(elems, notes):
-            print(f"labels={list(elem.labeling.labels)} height={elem.height}{note}")
+    payload = [{"labels": list(e.labeling.labels), "height": e.height} for e in elems]
+    notes = [
+        f" refuted at m={v.m}" if v.refuted else f" unrefuted up to m={v.m_max}"
+        for v in verdicts
+    ] or [""] * len(elems)
+    lines = [
+        f"labels={e['labels']} height={e['height']}{note}"
+        for e, note in zip(payload, notes)
+    ]
+    for entry, v in zip(payload, verdicts):
+        entry["refuted"] = v.refuted
+    _report(args.format, payload, lines)
     return EXIT_VERIFY if any(v.refuted for v in verdicts) else EXIT_OK
 
 
-def _cmd_decompose(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_decompose(args, g, budget) -> int:
     with open(args.labeling, "r", encoding="utf-8") as fh:
         lab = labelings.labeling_from_json(g, fh.read())
-    pieces = semigroups.stanley_decompose(lab, budget=_budget(args))
-    if args.format == "json":
-        payload = [
-            {"labels": list(p.labels), "index": labelings.is_magic(p)}
-            for p in pieces
-        ]
-        _print_json(payload)
-    else:
-        if not pieces:
-            print("zero labeling: empty decomposition")
-        for p in pieces:
-            print(f"labels={list(p.labels)} index={labelings.is_magic(p)}")
+    pieces = semigroups.stanley_decompose(lab, budget=budget)
+    payload = [
+        {"labels": list(p.labels), "index": labelings.is_magic(p)} for p in pieces
+    ]
+    lines = [f"labels={e['labels']} index={e['index']}" for e in payload]
+    _report(args.format, payload, lines or ["zero labeling: empty decomposition"])
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    g = _load_graph(args.graph)
-    budget = _budget(args)
+def _cmd_check(args, g, budget) -> int:
     leaf_list = graphs.leaves(g)
-    mprec = graphs.matching_preclusion_class(g)
+    mprec = graphs.matching_preclusion_class(g, budget=budget)
     cert = semigroups.certify_small_quasiperiod(g, budget=budget)
     edge = cert.forced_edge
-    if args.format == "json":
-        _print_json(
-            {
-                "bipartite": cert.bipartite,
-                "leaves": [[v, list(e)] for v, e in leaf_list],
-                "matching_preclusion": mprec,
-                "forced_max_edge": list(edge) if edge else None,
-                "forced_max_vacuous": cert.vacuous,
-                "certificate": cert.verdict,
-            }
-        )
-    else:
-        print(f"bipartite: {'yes' if cert.bipartite else 'no'}")
-        print(f"leaves: {', '.join(v for v, _ in leaf_list) or 'none'}")
-        print(f"matching preclusion class: {mprec}")
-        if cert.vacuous:
-            print("forced max edge: vacuous (only the zero labeling is magic)")
-        else:
-            print(f"forced max edge: {edge if edge else 'none'}")
-        print(f"certificate: {cert.verdict}")
+    payload = {
+        "bipartite": cert.bipartite,
+        "leaves": [[v, list(e)] for v, e in leaf_list],
+        "matching_preclusion": mprec,
+        "forced_max_edge": list(edge) if edge else None,
+        "forced_max_vacuous": cert.vacuous,
+        "certificate": cert.verdict,
+    }
+    forced = "vacuous (only the zero labeling is magic)" if cert.vacuous else edge
+    lines = [
+        f"bipartite: {'yes' if cert.bipartite else 'no'}",
+        f"leaves: {', '.join(v for v, _ in leaf_list) or 'none'}",
+        f"matching preclusion class: {mprec}",
+        f"forced max edge: {forced or 'none'}",
+        f"certificate: {cert.verdict}",
+    ]
+    _report(args.format, payload, lines)
     return EXIT_OK
 
 
@@ -254,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help, formats=table, *, graph=True, polytope=False):
         # Every subcommand that reads a graph searches it, so --graph
-        # brings --budget along.
+        # brings --budget along, and main hands it the graph and budget.
         p = sub.add_parser(name, help=help, description=help)
         p.set_defaults(func=func)
         if graph:
@@ -344,6 +330,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "graph" in vars(args):
+            return args.func(args, _load_graph(args.graph), _budget(args))
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

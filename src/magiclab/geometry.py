@@ -57,7 +57,7 @@ def _reduce(rows) -> list[tuple[int, ...]]:
     return [pivots[j] for j in sorted(pivots)]
 
 
-def _extreme_rays(eqs, rows, n: int, budget: int | None) -> list[tuple[int, ...]]:
+def _extreme_rays(eqs, rows, n: int, budget: int | None):
     # Double description of the cone {x in Z^n : eq . x == 0 for every eq,
     # row . x >= 0 for every row}, adding one equation or row at a time.
     # The cone so far is span(lin) + cone(rays), the rays being its
@@ -116,13 +116,12 @@ def _extreme_rays(eqs, rows, n: int, budget: int | None) -> list[tuple[int, ...]
                     continue
                 kept.append((_combine(vp, q, -vq, p), common | bit))
         rays = kept
-    return [r for r, _ in rays]
+    return rays
 
 
-def _enumerate_vertices(
-    g: Graph, kind: str, budget: int | None
-) -> list[tuple[int, ...]]:
-    # The extreme rays (t, x) behind polytope_vertices; see its docstring.
+def _enumerate_vertices(g: Graph, kind: str, budget: int | None):
+    # The extreme rays (t, x) behind polytope_vertices, each with its
+    # zero-set mask over the rows (t, x_e >= 0, x_e <= t); see its docstring.
     n = len(g.edges) + 1
     sums = []
     for v in g.vertices:
@@ -146,15 +145,19 @@ def _enumerate_vertices(
 
 @lru_cache(maxsize=64)
 def _polytope_facts(g: Graph, kind: str, budget: int | None):
-    """``(rays, denominator, dimension)`` of one polytope, memoised.
+    """``(rays, denominator, dimension, masks)`` of one polytope, memoised.
 
     ``rays`` are the sorted primitive extreme rays (t, x), t > 0: each is
-    a vertex x / t times its denominator t.  Called positionally, so one
-    (graph, kind, budget) is one cache entry; a budget error is not cached.
+    a vertex x / t times its denominator t.  ``masks[i]`` holds the rows
+    tight at ``rays[i]``: bit e + 1 when x_e = 0 and, for P, bit m + 1 + e
+    when x_e = t, m being the edge count; bit 0, the row t >= 0, is never
+    set.  Called positionally, so one (graph, kind, budget) is one cache
+    entry; a budget error is not cached.
     """
-    rays = tuple(sorted(_enumerate_vertices(g, _check_kind(kind), budget)))
+    pairs = sorted(_enumerate_vertices(g, _check_kind(kind), budget))
+    rays, masks = tuple(zip(*pairs)) or ((), ())
     # The rays span the cone over the vertices, one more than their hull.
-    return rays, lcm(*(r[0] for r in rays)), len(_reduce(rays)) - 1
+    return rays, lcm(*(r[0] for r in rays)), len(_reduce(rays)) - 1, masks
 
 
 def polytope_vertices(g: Graph, kind: str, *, budget: int | None = None) -> list[Point]:
@@ -195,7 +198,7 @@ def point_denominator(pt) -> int:
 
 def polytope_denominator(g: Graph, kind: str, *, budget: int | None = None) -> int:
     """Least dilation factor whose polytope has all-integral vertices."""
-    rays, den, _ = _polytope_facts(g, kind, budget)
+    rays, den, *_ = _polytope_facts(g, kind, budget)
     if not rays:
         raise ValueError("polytope is empty")
     return den
@@ -219,24 +222,15 @@ def coefficient_periods(
     denominators is a multiple of it.  For each prime p of den, the
     faces whose vertex denominators p all divides give p_i's p-part; they
     are grown from single vertices one vertex at a time as closures of
-    bitmasks (a face's tight rows, x_e = 0 and for P x_e = t, are those
-    its vertices share; its vertices are all those tight on them), and
-    one ``_reduce`` rank gives each face's dimension.  ``budget`` caps the
+    bitmasks (a face's tight rows, the rays' masks, are those its
+    vertices share; its vertices are all those tight on them), and one
+    ``_reduce`` rank gives each face's dimension.  ``budget`` caps the
     pair tests of the vertex enumeration and, separately, the closures;
-    ``None`` means no cap.  den 1 needs no face; empty raises ValueError.
+    ``None`` means no cap.  An empty polytope raises ValueError.
     """
     den = polytope_denominator(g, kind, budget=budget)
-    rays, _, dim = _polytope_facts(g, kind, budget)
+    rays, _, dim, masks = _polytope_facts(g, kind, budget)
     periods = [1] * (dim + 1)
-    if den == 1:
-        return tuple(periods)
-    # Bit e of a vertex's mask: x_e = 0; bit m + e (P only): x_e = t.
-    m, upper = len(g.edges), kind == "P"
-    masks = [
-        sum(1 << e for e, c in enumerate(x) if c == 0)
-        | sum(1 << m + e for e, c in enumerate(x) if upper and c == t)
-        for t, *x in rays
-    ]
     used = 0
     for p in range(2, den + 1):
         if den % p or any(p % f == 0 for f in range(2, p)):

@@ -187,16 +187,16 @@ def _matching_caps(g: Graph, loops_cover: bool) -> list[int]:
     return [1 if u != w or loops_cover else 0 for u, w in g.edges]
 
 
-def _matchings(g: Graph, caps):
-    # Perfect matchings are the 0/1 magic labelings of index 1 below caps.
-    # The index search finds nothing on a graph without vertices, whose
-    # one perfect matching is the empty one.
+def _matchings(g: Graph, caps, budget: int | None = None):
+    # Perfect matchings are the 0/1 magic labelings of index 1 below caps,
+    # one search of at most budget nodes; it finds nothing on a graph
+    # without vertices, whose one perfect matching is the empty one.
     from .labelings import _labelings
 
     if not g.vertices:
         yield ()
         return
-    for _, labels in _labelings(g, caps, (1,), None):
+    for _, labels in _labelings(g, caps, (1,), budget):
         yield tuple(i for i, x in enumerate(labels) if x)
 
 
@@ -216,7 +216,7 @@ def has_perfect_matching(g: Graph, *, loops_cover: bool = True) -> bool:
     return next(_matchings(g, _matching_caps(g, loops_cover)), None) is not None
 
 
-def matching_preclusion_class(g: Graph) -> str:
+def matching_preclusion_class(g: Graph, *, budget: int | None = None) -> str:
     """Classify how many edge deletions destroy all perfect matchings.
 
     Loops never belong to a perfect matching here (``loops_cover=False``).
@@ -224,14 +224,15 @@ def matching_preclusion_class(g: Graph) -> str:
     ``"one"`` when some single edge deletion leaves none, else
     ``"greater_than_one"``.  Only an edge of a perfect matching M can lie
     in all of them, so one search per edge of M, capped at 0, decides.
+    ``budget`` caps the nodes of each search; ``None`` means no cap.
     """
     caps = _matching_caps(g, False)
-    found = None if len(g.vertices) % 2 else next(_matchings(g, caps), None)
+    found = None if len(g.vertices) % 2 else next(_matchings(g, caps, budget), None)
     if found is None:
         return "no_pm"
     for e in found:
         caps[e] = 0
-        if next(_matchings(g, caps), None) is None:
+        if next(_matchings(g, caps, budget), None) is None:
             return "one"
         caps[e] = 1
     return "greater_than_one"

@@ -88,17 +88,25 @@ def li_matching(n: int, i: int) -> Labeling:
 
 
 @lru_cache(maxsize=64)
-def _assignment_order(g: Graph) -> tuple[tuple[int, int, int], ...]:
+def _assignment_order(g: Graph):
     # Static DFS order: repeatedly take the unassigned edges of the vertex
     # with the fewest unassigned incident edges.  Vertex sums then close as
     # early as possible, so most labels are forced instead of branched on.
-    # Pure per graph and asked for by every search and count, so memoised,
-    # each edge with its ends' vertex indices: (edge, end 1, end 2).
+    # Returns the order, each edge with its ends' vertex indices (edge,
+    # end 1, end 2), and the counting DP's slot plan.  The DP state is one
+    # int with one base-(target + 1) digit per slot: the partial sum of the
+    # open vertex (touched, not yet closed) that holds the slot.  A vertex
+    # takes the lowest free slot at its first edge and frees it at its
+    # last, when its unassigned count reaches 0, so there are as many
+    # slots as the frontier is wide.  Each edge plans its two ends' slots
+    # (a loop's one end twice), whether it is a loop, and the (vertex,
+    # slot) pairs of the ends it closes.  Pure per graph and asked for by
+    # every search and count, so memoised.
     vidx = {v: i for i, v in enumerate(g.vertices)}
     inc = [list(g.incidence[v]) for v in g.vertices]
     remaining = [len(es) for es in inc]
     unassigned = [True] * len(g.edges)
-    order: list[tuple[int, int, int]] = []
+    order, plan, slot = [], [], {}  # slot: open vertex -> its digit slot
     while len(order) < len(g.edges):
         best = -1
         for vi in range(len(g.vertices)):
@@ -108,11 +116,17 @@ def _assignment_order(g: Graph) -> tuple[tuple[int, int, int], ...]:
             if unassigned[ei]:
                 unassigned[ei] = False
                 u, w = g.edges[ei]
-                order.append((ei, vidx[u], vidx[w]))
-                remaining[vidx[u]] -= 1
-                if w != u:
-                    remaining[vidx[w]] -= 1
-    return tuple(order)
+                ui, wi = vidx[u], vidx[w]
+                order.append((ei, ui, wi))
+                for vi in (ui, wi):
+                    if vi not in slot:
+                        slot[vi] = min(set(range(len(slot) + 1)) - set(slot.values()))
+                for vi in {ui, wi}:
+                    remaining[vi] -= 1
+                p1, p2 = slot[ui], slot[wi]
+                closes = tuple((v, slot.pop(v)) for v in {ui, wi} if not remaining[v])
+                plan.append((p1, p2, ui == wi, closes))
+    return tuple(order), tuple(plan)
 
 
 def _steps(g: Graph, caps):
@@ -128,7 +142,7 @@ def _steps(g: Graph, caps):
     # have gathered so far, and the totals are the capacities.
     capacity = [0] * len(g.vertices)
     steps = []
-    for ei, ui, wi in reversed(_assignment_order(g)):
+    for ei, ui, wi in reversed(_assignment_order(g)[0]):
         cap = caps[ei]
         if ui == wi:
             steps.append((ei, cap, ((ui, capacity[ui]),)))
@@ -255,30 +269,6 @@ def _bounds(inc, target, caps):
     return lo, hi
 
 
-@lru_cache(maxsize=64)
-def _count_plan(g: Graph):
-    # The DP state is one int with one base-(target + 1) digit per slot:
-    # the partial sum of the open vertex (touched, not yet closed) that
-    # holds the slot.  A vertex takes the lowest free slot when its first
-    # edge opens it and frees it when its last edge closes it, so there
-    # are as many slots as the frontier is wide.  Each edge of
-    # _assignment_order (the order of _steps) becomes the slots of its two
-    # ends, a loop's one end twice, whether it is a loop, and the (vertex,
-    # slot) pairs of the ends it closes.  Pure per graph, so memoised.
-    ends = [(ui, wi) for _, ui, wi in _assignment_order(g)]
-    last = {vi: t for t, pair in enumerate(ends) for vi in pair}
-    slot: dict[int, int] = {}
-    plan = []
-    for t, (ui, wi) in enumerate(ends):
-        for vi in (ui, wi):
-            if vi not in slot:
-                slot[vi] = min(set(range(len(slot) + 1)) - set(slot.values()))
-        p1, p2 = slot[ui], slot[wi]
-        closes = tuple((vi, slot.pop(vi)) for vi in {ui, wi} if last[vi] == t)
-        plan.append((p1, p2, ui == wi, closes))
-    return tuple(plan)
-
-
 def _count(
     g: Graph, caps, first: int, last: int | None, budget: int | None, used: int = 0
 ) -> tuple[list[int], int]:
@@ -298,7 +288,7 @@ def _count(
     # used by then.
     inc = [g.incidence[v] for v in g.vertices]
     least = min((sum(map(caps.__getitem__, es)) for es in inc), default=0)
-    plan = _count_plan(g)
+    plan = _assignment_order(g)[1]
     counts = []
     top = least if last is None else min(last, least)
     for target in range(first, top + 1):

@@ -129,7 +129,7 @@ class Quasipolynomial(Value):
         return Quasipolynomial(s, tuple(parts))
 
     def minimum_quasiperiod(self) -> int:
-        """The least period, which construction keeps in ``period``."""
+        """``period``, the least period; an alias kept for the bench jobs."""
         return self.period
 
     def to_json(self) -> str:

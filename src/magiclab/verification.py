@@ -170,11 +170,11 @@ def check_difference_floor_identity() -> str | None:
 
 def check_minimum_quasiperiod_values() -> str | None:
     for n in range(1, 7):
-        mqp = _fit_fn(n).minimum_quasiperiod()
+        mqp = _fit_fn(n).period
         if mqp != n:
             return f"summatory function order {n}: quasiperiod {mqp} != {n}"
     for n in range(2, 8):
-        mqp = _ehrhart_p(make_gn(n)).minimum_quasiperiod()
+        mqp = _ehrhart_p(make_gn(n)).period
         if mqp != n - 1:
             return f"gn n={n}: quasiperiod {mqp} != {n - 1}"
     return None
@@ -226,8 +226,8 @@ def check_small_quasiperiod_certificates() -> str | None:
         if cert.verdict != "polynomial":
             return f"{name}: certificate {cert.verdict!r}, expected polynomial"
         q = _ehrhart_p(g)
-        if q.minimum_quasiperiod() != 1:
-            return f"{name}: fitted quasiperiod {q.minimum_quasiperiod()} != 1"
+        if q.period != 1:
+            return f"{name}: fitted quasiperiod {q.period} != 1"
     return None
 
 

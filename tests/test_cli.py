@@ -356,6 +356,18 @@ class TestCheck:
         assert data["certificate"] == "no_certificate"
         assert data["matching_preclusion"] == "greater_than_one"
 
+    def test_budget_caps_the_preclusion_search(self, g4_path, capsys, monkeypatch):
+        # The preclusion search runs first; the certificate is never reached.
+        from magiclab import semigroups
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("the preclusion search ignored the budget")
+
+        monkeypatch.setattr(semigroups, "certify_small_quasiperiod", unreached)
+        assert main(["check", "--graph", g4_path, "--budget", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: search exceeded the budget of 0 nodes")
+
 
 class TestFn:
     def test_value(self, capsys):

@@ -804,3 +804,38 @@ def odd_loop_graphs(draw):
 def test_ehrhart_matches_the_full_window_fit_on_loop_graphs(g):
     for kind in "PQ":
         assert_same_ehrhart(g, kind)
+
+
+def rebuilt_masks(g, kind):
+    """Each ray's tight rows rebuilt from its coordinates, row by row in
+    the double description's order (t >= 0, x_e >= 0, then x_e <= t for
+    P): bit e + 1 when x_e = 0, bit m + 1 + e when x_e = t (P only)."""
+    m = len(g.edges)
+    return tuple(
+        sum(1 << e + 1 for e, c in enumerate(x) if c == 0)
+        | sum(1 << m + 1 + e for e, c in enumerate(x) if kind == "P" and c == t)
+        for t, *x in _polytope_facts(g, kind, None)[0]
+    )
+
+
+def assert_masks_match(g):
+    for kind in "PQ":
+        assert _polytope_facts(g, kind, None)[3] == rebuilt_masks(g, kind)
+
+
+# The zero sets the double description keeps, one per ray, against the
+# masks rebuilt from the ray coordinates.
+MASKED = NAMED + [("gn8", make_gn(8))]
+
+
+@pytest.mark.parametrize("g", [g for _, g in MASKED], ids=[name for name, _ in MASKED])
+def test_tight_row_masks_match_the_coordinates(g):
+    assert_masks_match(g)
+
+
+@SETTINGS
+@given(loop_graphs())
+@example(Graph((), ()))
+@example(path_graph(3))
+def test_tight_row_masks_match_the_coordinates_on_loop_graphs(g):
+    assert_masks_match(g)

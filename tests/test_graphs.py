@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 
 from magiclab import (
+    BudgetExceededError,
     Graph,
     bouquet,
     build_graph,
@@ -338,6 +339,12 @@ class TestMatchingPreclusion:
         assert has_perfect_matching(g)
         assert not has_perfect_matching(g, loops_cover=False)
         assert matching_preclusion_class(g) == "no_pm"
+
+    def test_budget_caps_each_search(self):
+        with pytest.raises(BudgetExceededError) as err:
+            matching_preclusion_class(make_gn(4), budget=0)
+        assert err.value.phase == "search"
+        assert matching_preclusion_class(make_gn(4), budget=100) == "greater_than_one"
 
 
 class TestForcedMaxEdge:

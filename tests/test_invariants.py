@@ -109,7 +109,7 @@ INTEGER_ONLY = {
         "_extreme_rays",
         "coefficient_periods",
     ),
-    "labelings.py": ("_bounds", "_count_plan", "_count"),
+    "labelings.py": ("_bounds", "_assignment_order", "_count"),
 }
 
 

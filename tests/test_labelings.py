@@ -1,6 +1,7 @@
 """Labelings, magic tests, and exhaustive enumeration."""
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -31,7 +32,7 @@ from magiclab import (
     vertex_sum,
 )
 from magiclab import labelings
-from magiclab.labelings import _assignment_order, _count_plan, _labelings, _made
+from magiclab.labelings import _assignment_order, _labelings, _made
 
 
 def brute_magic_k(g, k):
@@ -240,7 +241,8 @@ class TestFrontierSlots:
     K33 = Graph(tuple("abcxyz"), tuple((u, v) for u in "abc" for v in "xyz"))
 
     def slots(self, g):
-        return 1 + max(max(p1, p2) for p1, p2, _loop, _closes in _count_plan(g))
+        plan = _assignment_order(g)[1]
+        return 1 + max(max(p1, p2) for p1, p2, _loop, _closes in plan)
 
     def test_k33_index_counts_are_semimagic_squares(self):
         # An index-t labeling of K_{3,3} is a 3x3 semimagic square with line
@@ -252,6 +254,41 @@ class TestFrontierSlots:
     def test_one_slot_per_open_vertex(self):
         assert self.slots(make_gn(5)) == 4
         assert self.slots(self.K33) == 5
+
+    @staticmethod
+    def seeded_loop_graphs(count=60):
+        rng = random.Random(25)
+        for _ in range(count):
+            vs = [f"v{i}" for i in range(rng.randint(1, 7))]
+            pairs = list(itertools.combinations(vs, 2))
+            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+            edges += [(v, v) for v in vs for _ in range(rng.randint(0, 2))]
+            yield Graph(tuple(vs), tuple(edges))
+
+    def test_slot_plan_invariants(self):
+        graphs = [make_gn(n) for n in range(2, 9)] + [self.K33, bouquet(3)]
+        for g in graphs + list(self.seeded_loop_graphs()):
+            order, plan = _assignment_order(g)
+            span = {}
+            for t, (_, ui, wi) in enumerate(order):
+                for vi in (ui, wi):
+                    span[vi] = (span.get(vi, (t,))[0], t)
+            held = {}
+            for t, ((_, ui, wi), (p1, p2, loop, closes)) in enumerate(zip(order, plan)):
+                assert loop == (ui == wi) and (p1 == p2) == loop
+                # Each vertex holds one slot from its first edge to its last.
+                for vi, p in ((ui, p1), (wi, p2)):
+                    assert held.setdefault(vi, p) == p
+                # No two open vertices share a slot.
+                open_now = [vi for vi, (a, b) in span.items() if a <= t <= b]
+                slots = [held[vi] for vi in open_now]
+                assert len(slots) == len(set(slots))
+                # The closes are exactly the ends whose last edge this is.
+                want = {(vi, held[vi]) for vi in (ui, wi) if span[vi][1] == t}
+                assert sorted(closes) == sorted(want)
+                for vi, _ in closes:
+                    del held[vi]
+            assert not held
 
 
 class TestCountSeries:
@@ -465,11 +502,12 @@ class TestBudget:
 
 def test_assignment_order_is_memoised_per_graph():
     g = make_gn(5)
-    order = _assignment_order(g)
+    walk = _assignment_order(g)
+    order = walk[0]
     assert isinstance(order, tuple) and sorted(ei for ei, _, _ in order) == list(range(15))
     vidx = {v: i for i, v in enumerate(g.vertices)}
     assert all((ui, wi) == tuple(map(vidx.get, g.edges[ei])) for ei, ui, wi in order)
-    assert _assignment_order(make_gn(5)) is order
+    assert _assignment_order(make_gn(5)) is walk
 
 
 class TestDeepGraphs:

@@ -1,12 +1,13 @@
 """Exact polytope vertex enumeration, denominators and dimensions.
 
 The magic polytope of a graph is described in homogeneous coordinates
-(t, x), one x per edge in the graph's edge order: every vertex-sum
-equation is an equality row, and the bounds x_e >= 0 (and x_e <= t for
-P) are inequality rows of a cone whose slice t = 1 is the polytope.
-The cone's extreme rays come from an integer double description on
-Python ints; no row is ever eliminated over fractions and no floating
-point is used anywhere.  Points are plain tuples of fractions.
+(t, x), one x per edge in the graph's edge order: the vertex-sum
+equations cut out a linear space, and the bounds x_e >= 0 (and x_e <= t
+for P) are inequality rows of a cone in it whose slice t = 1 is the
+polytope.  The cone's extreme rays come from an integer double
+description on Python ints, started from the equations' null space; no
+row is ever eliminated over fractions and no floating point is used
+anywhere.  Points are plain tuples of fractions.
 """
 
 from __future__ import annotations
@@ -57,35 +58,43 @@ def _reduce(rows) -> list[tuple[int, ...]]:
     return [pivots[j] for j in sorted(pivots)]
 
 
+def _null_space(eqs, n: int) -> dict[int, tuple[int, ...]]:
+    # The integer null space of the equations, one primitive vector per
+    # free column f: zero left of f, positive at f and zero at every other
+    # free column.  Eliminating from the last column makes each pivot
+    # column the last nonzero of its row, which gives the zeros left of f.
+    pivots = {}
+    for p in _reduce([e[::-1] for e in eqs]):
+        pivots[n - 1 - next(j for j, c in enumerate(p) if c)] = p[::-1]
+    lin = {}
+    for f in (f for f in range(n) if f not in pivots):
+        d = lcm(*(p[j] for j, p in pivots.items() if p[f]))
+        v = [0] * n
+        v[f] = d
+        for j, p in pivots.items():
+            v[j] = -p[f] * d // p[j]
+        lin[f] = _primitive(v)
+    return lin
+
+
 def _extreme_rays(eqs, rows, n: int, budget: int | None):
     # Double description of the cone {x in Z^n : eq . x == 0 for every eq,
-    # row . x >= 0 for every row}, adding one equation or row at a time.
-    # The cone so far is span(lin) + cone(rays), the rays being its
-    # extreme rays modulo span(lin); each ray carries the bitmask of the
-    # rows added so far that vanish on it.  Equations come first, while
-    # there is no ray, and take no bit.
-    lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    # row . x >= 0 for every row}, rows[:n] being the bounds x_j >= 0,
+    # adding one row at a time to the equations' null space.  The cone so
+    # far is span(lin) + cone(rays), the rays being its extreme rays modulo
+    # span(lin); each ray carries the bitmask of the rows added so far that
+    # vanish on it.  With lin from _null_space, rows[f] cuts the lineality
+    # space exactly when f is free, and every earlier ray and every later
+    # lin vector already vanishes on it: the cut turns lin[f] into a ray.
+    lin = _null_space(eqs, n)
     rays: list[tuple[tuple[int, ...], int]] = []
     used = cuts = 0  # cuts: the bounds that cut the lineality space
-    for i, a in enumerate([*eqs, *rows], -len(eqs)):
-        bit = 1 << i if i >= 0 else 0
-        k = next((k for k, l in enumerate(lin) if sum(map(mul, a, l))), None)
-        if k is not None:
-            # The row cuts the lineality space: one direction in it,
-            # oriented to the row's positive side, becomes a ray (unless
-            # the row is an equation), and the rest of the space and the
-            # old rays are projected along it into the row's hyperplane.
-            cut = lin.pop(k)
-            s = sum(map(mul, a, cut))
-            if s < 0:
-                cut, s = tuple(-c for c in cut), -s
-            lin = [_combine(s, l, -sum(map(mul, a, l)), cut) for l in lin]
-            rays = [
-                (_combine(s, r, -sum(map(mul, a, r)), cut), z | bit) for r, z in rays
-            ]
-            if bit:
-                rays.append((cut, bit - 1))
-                cuts += 1
+    for i, a in enumerate(rows):
+        bit = 1 << i
+        if i in lin:
+            rays = [(r, z | bit) for r, z in rays]
+            rays.append((lin[i], bit - 1))
+            cuts += 1
             continue
         pos, neg, kept = [], [], []
         for r, z in rays:
@@ -165,18 +174,17 @@ def polytope_vertices(g: Graph, kind: str, *, budget: int | None = None) -> list
 
     The polytope is the slice t = 1 of a cone in the coordinates (t, x).
     A double description (Motzkin et al. 1953; Fukuda and Prodon 1996)
-    finds the cone's extreme rays on Python ints, one row at a time.  The
-    vertex-sum equations come first, as equality rows: the cone is then
-    still a linear space, so each equation only cuts it down and adds no
-    ray.  The bounds follow, t >= 0 and every x_e >= 0, then every
-    x_e <= t for P.  Each bound either cuts the remaining linear space
-    (the equations' step), giving one new ray, or pairs each ray on its
-    positive side with each ray on its negative side; an adjacent pair
-    (judged on the rays' zero sets) gives a new ray, combined
-    fraction-free and divided by its gcd.
+    finds the cone's extreme rays on Python ints, one row at a time,
+    starting from the vertex-sum equations' null space: one integer
+    vector per free column of one fraction-free elimination.  The bounds
+    follow, t >= 0 and every x_e >= 0, then every x_e <= t for P.  The
+    bound on a free column turns that column's vector into a ray.  Every
+    other bound pairs each ray on its positive side with each ray on its
+    negative side; an adjacent pair (judged on the rays' zero sets) gives
+    a new ray, combined fraction-free and divided by its gcd.
     Each extreme ray with t > 0 is the vertex x / t.  The order matters
-    for speed only: the equations first keep every intermediate cone
-    inside their solution space, and every lower bound before any upper
+    for speed only: starting in the equations' null space keeps every
+    intermediate cone inside it, and every lower bound before any upper
     bound keeps those cones small (36 pair tests for gn(4)/P, 7,356 for
     gn(8)/P).
 

@@ -187,16 +187,17 @@ def _matching_caps(g: Graph, loops_cover: bool) -> list[int]:
     return [1 if u != w or loops_cover else 0 for u, w in g.edges]
 
 
-def _matchings(g: Graph, caps, budget: int | None = None):
+def _matchings(g: Graph, caps, budget: int | None = None, spent=None):
     # Perfect matchings are the 0/1 magic labelings of index 1 below caps,
-    # one search of at most budget nodes; it finds nothing on a graph
-    # without vertices, whose one perfect matching is the empty one.
+    # one search whose nodes, added to spent's, stay within budget; it
+    # finds nothing on a graph without vertices, whose one perfect
+    # matching is the empty one.
     from .labelings import _labelings
 
     if not g.vertices:
         yield ()
         return
-    for _, labels in _labelings(g, caps, (1,), budget):
+    for _, labels in _labelings(g, caps, (1,), budget, None, spent):
         yield tuple(i for i, x in enumerate(labels) if x)
 
 
@@ -224,15 +225,19 @@ def matching_preclusion_class(g: Graph, *, budget: int | None = None) -> str:
     ``"one"`` when some single edge deletion leaves none, else
     ``"greater_than_one"``.  Only an edge of a perfect matching M can lie
     in all of them, so one search per edge of M, capped at 0, decides.
-    ``budget`` caps the nodes of each search; ``None`` means no cap.
+    ``budget`` caps the nodes of all these searches together; ``None``
+    means no cap.
     """
     caps = _matching_caps(g, False)
-    found = None if len(g.vertices) % 2 else next(_matchings(g, caps, budget), None)
+    spent = [0]
+    found = None
+    if len(g.vertices) % 2 == 0:
+        found = next(_matchings(g, caps, budget, spent), None)
     if found is None:
         return "no_pm"
     for e in found:
         caps[e] = 0
-        if next(_matchings(g, caps, budget), None) is None:
+        if next(_matchings(g, caps, budget, spent), None) is None:
             return "one"
         caps[e] = 1
     return "greater_than_one"

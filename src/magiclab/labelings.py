@@ -154,7 +154,7 @@ def _steps(g: Graph, caps):
     return capacity, steps
 
 
-def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
+def _labelings(g: Graph, caps, indices, budget: int | None, floors=None, spent=None):
     """Exact search over labelings whose vertex sums all equal one target.
 
     Targets are taken in turn from ``indices``, or are every index the
@@ -162,7 +162,10 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
     ``floors`` (zero when None) and ``caps``.  Yields ``(index, labels)``
     per solution, the labels a tuple in coordinate order.  ``budget``
     caps the label values offered over the whole search, counted per
-    position before any value is tried.
+    position before any value is tried.  ``spent``, a one-item list,
+    shares that count between searches under one budget: the search
+    starts from it and writes its count back at each solution and at its
+    end.
 
     The edges are assigned in the order of ``_steps`` with an explicit
     stack: ``top[t]`` is the largest value position t may take, and the
@@ -185,7 +188,7 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
     m = len(steps)
     labels = [0] * m
     top = [0] * m
-    nodes = 0
+    nodes = spent[0] if spent else 0
     for target in range(least + 1) if indices is None else indices:
         if not lowest <= target <= least:
             continue
@@ -213,6 +216,8 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
                     sums[vi] += lo
                 t += 1
             else:
+                if spent is not None:
+                    spent[0] = nodes
                 yield target, tuple(labels) if floors is None else tuple(
                     x + f for x, f in zip(labels, floors)
                 )
@@ -231,6 +236,8 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None):
                 for vi, _after in ends:
                     sums[vi] -= val
                 t -= 1
+    if spent is not None:
+        spent[0] = nodes
 
 
 def _collect(g: Graph, caps, indices, budget: int | None, floors=None) -> list[Labeling]:

@@ -1,7 +1,8 @@
 """Randomised differential tests against brute force.
 
 The labeling search is checked against filtered label cubes, its floors
-against filtering, the vertex enumeration against the subset scan, the
+against filtering, the vertex enumeration against the subset scan and
+against a double description that takes the equations as rows, the
 CF elements against the scaled vertices, the preclusion class against
 brute-force matchings, the fraction-free row reduction against reduction
 over fractions, the index each search solution is reported with
@@ -19,9 +20,11 @@ Examples are derandomised, so each run tries the same graphs.
 
 import itertools
 from collections import Counter
+from operator import mul
+from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from magiclab import (
     BudgetExceededError,
@@ -55,7 +58,8 @@ from magiclab import (
     stanley_decompose,
     verify_completely_fundamental,
 )
-from magiclab.geometry import _polytope_facts, _reduce
+from magiclab import geometry
+from magiclab.geometry import _combine, _extreme_rays, _polytope_facts, _reduce
 from magiclab.labelings import _bounds, _count, _labelings, _steps
 from magiclab.semigroups import _combination, _is_multiple, _pool, validate_element
 from test_geometry import brute_vertices, rref
@@ -232,6 +236,104 @@ def test_vertices_match_the_subset_scan(g):
         if want is not None:
             assert polytope_vertices(g, kind) == want
             assert polytope_dimension(g, kind) == affine_rank(want)
+
+
+def reference_extreme_rays(eqs, rows, n):
+    """The double description from the identity basis of the whole space,
+    each equation a row that cuts it, and every lineality vector and ray
+    projected into the hyperplane of each row that cuts the lineality
+    space.  Returns the rays with their zero-set masks, and the pair tests.
+    """
+    lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = []
+    used = cuts = 0
+    for i, a in enumerate([*eqs, *rows], -len(eqs)):
+        bit = 1 << i if i >= 0 else 0
+        k = next((k for k, l in enumerate(lin) if sum(map(mul, a, l))), None)
+        if k is not None:
+            cut = lin.pop(k)
+            s = sum(map(mul, a, cut))
+            if s < 0:
+                cut, s = tuple(-c for c in cut), -s
+            lin = [_combine(s, l, -sum(map(mul, a, l)), cut) for l in lin]
+            rays = [
+                (_combine(s, r, -sum(map(mul, a, r)), cut), z | bit) for r, z in rays
+            ]
+            if bit:
+                rays.append((cut, bit - 1))
+                cuts += 1
+            continue
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            v = sum(map(mul, a, r))
+            if v > 0:
+                pos.append((r, z, v))
+                kept.append((r, z))
+            elif v < 0:
+                neg.append((r, z, v))
+            else:
+                kept.append((r, z | bit))
+        used += len(pos) * len(neg)
+        zeros = [z for _, z in rays]
+        for p, zp, vp in pos:
+            for q, zq, vq in neg:
+                common = zp & zq
+                if common.bit_count() < cuts - 2:
+                    continue
+                if sum(1 for z in zeros if common & z == common) > 2:
+                    continue
+                kept.append((_combine(vp, q, -vq, p), common | bit))
+        rays = kept
+    return rays, used
+
+
+def cone_rows(g, kind):
+    """The (eqs, rows, n) geometry hands its double description."""
+    with mock.patch.object(geometry, "_extreme_rays", lambda *args: args[:3]):
+        return geometry._enumerate_vertices(g, kind, None)
+
+
+def assert_same_double_description(g, most=None):
+    """Rays, masks and pair tests agree; a polytope that needs more than
+    ``most`` pair tests is rejected as an example, unchecked."""
+    for kind in "PQ":
+        eqs, rows, n = cone_rows(g, kind)
+        if most is not None:
+            try:
+                _extreme_rays(eqs, rows, n, most)
+            except BudgetExceededError:
+                reject()
+        want, used = reference_extreme_rays(eqs, rows, n)
+        assert sorted(_extreme_rays(eqs, rows, n, used)) == sorted(want)
+        if used:
+            with pytest.raises(BudgetExceededError) as err:
+                _extreme_rays(eqs, rows, n, used - 1)
+            assert err.value.phase == "vertex enumeration"
+
+
+# The double description from the equations' null space against the one
+# that takes the equations as rows: the same rays, zero sets and pair
+# tests, so budgets pass and fail where they did.
+DD_GRAPHS = [(name, g) for name, g in corpus()]
+DD_GRAPHS += [(f"gn{n}", make_gn(n)) for n in range(2, 11)]
+DD_GRAPHS += [(f"gnp{n}_{p}", make_gnp(n, p)) for n in range(2, 6) for p in range(1, 5)]
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in DD_GRAPHS], ids=[name for name, _ in DD_GRAPHS]
+)
+def test_double_description_matches_the_equation_rows(g):
+    assert_same_double_description(g)
+
+
+@SETTINGS
+@given(loop_graphs())
+@example(Graph((), ()))
+@example(Graph(("a",), ()))
+def test_double_description_matches_the_equation_rows_on_loop_graphs(g):
+    # Some draws take millions of pair tests (K5 with loops: 32.9M); the
+    # bound lets through every polytope as large as gn(10)'s (116,778).
+    assert_same_double_description(g, most=120_000)
 
 
 # CF elements against the route they replaced: each vertex scaled by its

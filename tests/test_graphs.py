@@ -340,11 +340,14 @@ class TestMatchingPreclusion:
         assert not has_perfect_matching(g, loops_cover=False)
         assert matching_preclusion_class(g) == "no_pm"
 
-    def test_budget_caps_each_search(self):
+    @pytest.mark.parametrize("n, total", [(4, 117), (8, 603)])
+    def test_budget_caps_all_searches_together(self, n, total):
+        # gn(8) makes 10 searches of 31, 33, 40, 51, 66, 85, 108, 129, 30
+        # and 30 nodes: the budget bounds their sum, not the largest.
+        assert matching_preclusion_class(make_gn(n), budget=total) == "greater_than_one"
         with pytest.raises(BudgetExceededError) as err:
-            matching_preclusion_class(make_gn(4), budget=0)
-        assert err.value.phase == "search"
-        assert matching_preclusion_class(make_gn(4), budget=100) == "greater_than_one"
+            matching_preclusion_class(make_gn(n), budget=total - 1)
+        assert (err.value.phase, err.value.consumed) == ("search", total)
 
 
 class TestForcedMaxEdge:

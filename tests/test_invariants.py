@@ -106,6 +106,7 @@ INTEGER_ONLY = {
         "_primitive",
         "_combine",
         "_reduce",
+        "_null_space",
         "_extreme_rays",
         "coefficient_periods",
     ),

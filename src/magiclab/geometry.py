@@ -2,8 +2,8 @@
 
 The magic polytope of a graph is described in homogeneous coordinates
 (t, x), one x per edge in the graph's edge order: the vertex-sum
-equations cut out a linear space, and the bounds x_e >= 0 (and x_e <= t
-for P) are inequality rows of a cone in it whose slice t = 1 is the
+equations cut out a linear space, and the bounds t >= 0, x_e >= 0 (and
+x_e <= t for P) cut out a cone in it whose slice t = 1 is the
 polytope.  The cone's extreme rays come from an integer double
 description on Python ints, started from the equations' null space; no
 row is ever eliminated over fractions and no floating point is used
@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
 
 from .errors import BudgetExceededError, as_exact
 from .graphs import Graph
@@ -77,19 +76,20 @@ def _null_space(eqs, n: int) -> dict[int, tuple[int, ...]]:
     return lin
 
 
-def _extreme_rays(eqs, rows, n: int, budget: int | None):
-    # Double description of the cone {x in Z^n : eq . x == 0 for every eq,
-    # row . x >= 0 for every row}, rows[:n] being the bounds x_j >= 0,
-    # adding one row at a time to the equations' null space.  The cone so
-    # far is span(lin) + cone(rays), the rays being its extreme rays modulo
-    # span(lin); each ray carries the bitmask of the rows added so far that
-    # vanish on it.  With lin from _null_space, rows[f] cuts the lineality
-    # space exactly when f is free, and every earlier ray and every later
-    # lin vector already vanishes on it: the cut turns lin[f] into a ray.
-    lin = _null_space(eqs, n)
+def _extreme_rays(eqs, m: int, kind: str, budget: int | None):
+    # Double description of the cone {(t, x) in Z^(m+1) : eq . (t, x) == 0
+    # for every eq, every bound >= 0}, adding one bound at a time to the
+    # equations' null space.  Bound i <= m is x_i >= 0, x_0 being t; for P,
+    # bound m + e is x_e <= t.  The cone so far is span(lin) + cone(rays),
+    # the rays being its extreme rays modulo span(lin); each ray carries
+    # the bitmask of the bounds added so far that vanish on it, bit i for
+    # bound i.  With lin from _null_space, bound i cuts the lineality space
+    # exactly when column i is free, and every earlier ray and every later
+    # lin vector already vanishes on it: the cut turns lin[i] into a ray.
+    lin = _null_space(eqs, m + 1)
     rays: list[tuple[tuple[int, ...], int]] = []
     used = cuts = 0  # cuts: the bounds that cut the lineality space
-    for i, a in enumerate(rows):
+    for i in range(2 * m + 1 if kind == "P" else m + 1):
         bit = 1 << i
         if i in lin:
             rays = [(r, z | bit) for r, z in rays]
@@ -98,7 +98,7 @@ def _extreme_rays(eqs, rows, n: int, budget: int | None):
             continue
         pos, neg, kept = [], [], []
         for r, z in rays:
-            v = sum(map(mul, a, r))
+            v = r[i] if i <= m else r[0] - r[i - m]
             if v > 0:
                 pos.append((r, z, v))
                 kept.append((r, z))
@@ -112,8 +112,8 @@ def _extreme_rays(eqs, rows, n: int, budget: int | None):
                 "vertex enumeration", "pair tests", budget, used
             )
         # A positive and a negative ray are adjacent when no third ray
-        # vanishes on every row that both vanish on; adjacent rays share at
-        # least cuts - 2 zeros, which rules most pairs out first.
+        # vanishes on every bound that both vanish on; adjacent rays share
+        # at least cuts - 2 zeros, which rules most pairs out first.
         need = cuts - 2
         zeros = [z for _, z in rays]
         for p, zp, vp in pos:
@@ -130,7 +130,7 @@ def _extreme_rays(eqs, rows, n: int, budget: int | None):
 
 def _enumerate_vertices(g: Graph, kind: str, budget: int | None):
     # The extreme rays (t, x) behind polytope_vertices, each with its
-    # zero-set mask over the rows (t, x_e >= 0, x_e <= t); see its docstring.
+    # zero-set mask over the bounds; see _extreme_rays.
     n = len(g.edges) + 1
     sums = []
     for v in g.vertices:
@@ -144,12 +144,9 @@ def _enumerate_vertices(g: Graph, kind: str, budget: int | None):
         # A graph with no vertex has no edge either, and its index is 0
         # (the convention of labelings.is_magic): Q is empty, as t = 0.
         eqs = [[-1] + row[1:] for row in sums] or [[1]]
-    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    if kind == "P":
-        rows += [tuple((j == 0) - (j == e) for j in range(n)) for e in range(1, n)]
     # No extreme ray has t = 0: P has 0 <= x_e <= t, and in Q every edge
     # lies in a vertex sum equal to t, so t = 0 forces x = 0 in both.
-    return _extreme_rays(eqs, rows, n, budget)
+    return _extreme_rays(eqs, n - 1, kind, budget)
 
 
 @lru_cache(maxsize=64)
@@ -157,11 +154,11 @@ def _polytope_facts(g: Graph, kind: str, budget: int | None):
     """``(rays, denominator, dimension, masks)`` of one polytope, memoised.
 
     ``rays`` are the sorted primitive extreme rays (t, x), t > 0: each is
-    a vertex x / t times its denominator t.  ``masks[i]`` holds the rows
-    tight at ``rays[i]``: bit e + 1 when x_e = 0 and, for P, bit m + 1 + e
-    when x_e = t, m being the edge count; bit 0, the row t >= 0, is never
-    set.  Called positionally, so one (graph, kind, budget) is one cache
-    entry; a budget error is not cached.
+    a vertex x / t times its denominator t.  ``masks[i]`` holds the bounds
+    tight at ``rays[i]``, bit b for bound b: bound 0, t >= 0, is never
+    tight; bound e + 1 is x_e >= 0 and, for P, bound m + 1 + e is x_e <= t
+    (m edges).  Called positionally, so one (graph, kind, budget) is one
+    cache entry; a budget error is not cached.
     """
     pairs = sorted(_enumerate_vertices(g, _check_kind(kind), budget))
     rays, masks = tuple(zip(*pairs)) or ((), ())
@@ -174,22 +171,24 @@ def polytope_vertices(g: Graph, kind: str, *, budget: int | None = None) -> list
 
     The polytope is the slice t = 1 of a cone in the coordinates (t, x).
     A double description (Motzkin et al. 1953; Fukuda and Prodon 1996)
-    finds the cone's extreme rays on Python ints, one row at a time,
+    finds the cone's extreme rays on Python ints, one bound at a time,
     starting from the vertex-sum equations' null space: one integer
-    vector per free column of one fraction-free elimination.  The bounds
-    follow, t >= 0 and every x_e >= 0, then every x_e <= t for P.  The
-    bound on a free column turns that column's vector into a ray.  Every
-    other bound pairs each ray on its positive side with each ray on its
-    negative side; an adjacent pair (judged on the rays' zero sets) gives
-    a new ray, combined fraction-free and divided by its gcd.
-    Each extreme ray with t > 0 is the vertex x / t.  The order matters
+    vector per free column of one fraction-free elimination.  Bound 0 is
+    t >= 0, bound e + 1 is x_e >= 0 and, for P, bound m + 1 + e is
+    x_e <= t (m edges); mask bit i of a ray is bound i.  The bound on a
+    free column turns that column's vector into a ray.  Every other
+    bound, one coordinate of a ray or t minus one, pairs each ray on its
+    positive side with each ray on its negative side; an adjacent pair
+    (judged on the rays' zero sets) gives a new ray, combined
+    fraction-free and divided by its gcd.  Each extreme ray with t > 0 is
+    the vertex x / t.  The bounds are taken by id, and the order matters
     for speed only: starting in the equations' null space keeps every
     intermediate cone inside it, and every lower bound before any upper
     bound keeps those cones small (36 pair tests for gn(4)/P, 7,356 for
     gn(8)/P).
 
     ``budget`` caps the pair tests, the positive-by-negative ray pairs
-    considered, summed over the rows; BudgetExceededError is raised once
+    considered, summed over the bounds; BudgetExceededError is raised once
     they exceed it, and ``None`` means no cap.  The rays are memoised per
     (graph, kind, budget) and shared with ``polytope_denominator``,
     ``polytope_dimension`` and ``semigroups.cf_elements``.  Returns [] for
@@ -230,7 +229,7 @@ def coefficient_periods(
     denominators is a multiple of it.  For each prime p of den, the
     faces whose vertex denominators p all divides give p_i's p-part; they
     are grown from single vertices one vertex at a time as closures of
-    bitmasks (a face's tight rows, the rays' masks, are those its
+    bitmasks (a face's tight bounds, the rays' masks, are those its
     vertices share; its vertices are all those tight on them), and one
     ``_reduce`` rank gives each face's dimension.  ``budget`` caps the
     pair tests of the vertex enumeration and, separately, the closures;
@@ -240,13 +239,17 @@ def coefficient_periods(
     rays, _, dim, masks = _polytope_facts(g, kind, budget)
     periods = [1] * (dim + 1)
     used = 0
+    # The rays tight on each bound as a bitmask over rays; those tight on a
+    # set of bounds are the AND over its bounds, or every ray for no bound.
+    every, bits = (1 << len(rays)) - 1, range(max(masks).bit_length())
+    holders = [sum(1 << j for j, z in enumerate(masks) if z >> b & 1) for b in bits]
     for p in range(2, den + 1):
         if den % p or any(p % f == 0 for f in range(2, p)):
             continue  # not a prime of den
         part = gcd(den, p ** den.bit_length())  # den's p-part
         inside = [i for i, r in enumerate(rays) if r[0] % p == 0]
         allowed = sum(1 << i for i in inside)
-        # Each face: its vertices as a bitmask over rays, and its tight rows.
+        # Each face: its vertices as a bitmask over rays, and its tight bounds.
         todo = [(1 << i, masks[i]) for i in inside]
         seen = {f for f, _ in todo}
         while todo:
@@ -262,8 +265,12 @@ def coefficient_periods(
                     raise BudgetExceededError.over(
                         "face enumeration", "closures", budget, used
                     )
-                rows = tight & masks[i]
-                closure = sum(1 << j for j, z in enumerate(masks) if z & rows == rows)
+                rows = rest = tight & masks[i]
+                closure = every
+                while rest:
+                    low = rest & -rest
+                    closure &= holders[low.bit_length() - 1]
+                    rest ^= low
                 if closure & ~allowed == 0 and closure not in seen:
                     seen.add(closure)
                     todo.append((closure, rows))

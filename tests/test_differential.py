@@ -2,17 +2,19 @@
 
 The labeling search is checked against filtered label cubes, its floors
 against filtering, the vertex enumeration against the subset scan and
-against a double description that takes the equations as rows, the
-CF elements against the scaled vertices, the preclusion class against
-brute-force matchings, the fraction-free row reduction against reduction
-over fractions, the index each search solution is reported with
-against the magic test, the counting DP against the labeling search and
-against a tuple-state copy of the DP that bounds labels by their caps
-alone, the per-target label bounds against the search's solutions, the
-height-box CF oracle against a full enumeration of every decomposition
-and its half-height search against every height box, the generator
-decomposition's explicit stack against a recursive search, and the
-Stanley extraction's failures against the generator decomposition.
+against a double description that takes the equations and bounds as
+dense rows, the face closures of the coefficient periods against a scan
+of every ray's mask, the CF elements against the scaled vertices, the
+preclusion class against brute-force matchings, the fraction-free row
+reduction against reduction over fractions, the index each search
+solution is reported with against the magic test, the counting DP
+against the labeling search and against a tuple-state copy of the DP
+that bounds labels by their caps alone, the per-target label bounds
+against the search's solutions, the height-box CF oracle against a full
+enumeration of every decomposition and its half-height search against
+every height box, the generator decomposition's explicit stack against a
+recursive search, and the Stanley extraction's failures against the
+generator decomposition.
 Graphs are small (at most 5 vertices and 7 edges where a label cube is
 filtered in full) with loops, parallel loops and isolated vertices.
 Examples are derandomised, so each run tries the same graphs.
@@ -20,6 +22,7 @@ Examples are derandomised, so each run tries the same graphs.
 
 import itertools
 from collections import Counter
+from math import gcd, lcm
 from operator import mul
 from unittest import mock
 
@@ -33,6 +36,7 @@ from magiclab import (
     Labeling,
     SemigroupElement,
     cf_elements,
+    coefficient_periods,
     count_index_k,
     count_magic_k,
     count_series,
@@ -62,7 +66,7 @@ from magiclab import geometry
 from magiclab.geometry import _combine, _extreme_rays, _polytope_facts, _reduce
 from magiclab.labelings import _bounds, _count, _labelings, _steps
 from magiclab.semigroups import _combination, _is_multiple, _pool, validate_element
-from test_geometry import brute_vertices, rref
+from test_geometry import brute_vertices, eight_edges, rref
 from test_graphs import brute_perfect_matchings
 from test_semigroups import hub_labeling
 from magiclab.verification import corpus
@@ -288,32 +292,43 @@ def reference_extreme_rays(eqs, rows, n):
 
 
 def cone_rows(g, kind):
-    """The (eqs, rows, n) geometry hands its double description."""
+    """The (eqs, m, kind) geometry hands its double description."""
     with mock.patch.object(geometry, "_extreme_rays", lambda *args: args[:3]):
         return geometry._enumerate_vertices(g, kind, None)
+
+
+def bound_rows(m, kind):
+    """The bounds as dense rows over (t, x_1 .. x_m), row i for bound i:
+    x_i >= 0 for i <= m (x_0 = t), then x_e <= t for P."""
+    n = m + 1
+    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if kind == "P":
+        rows += [tuple((j == 0) - (j == e) for j in range(n)) for e in range(1, n)]
+    return rows
 
 
 def assert_same_double_description(g, most=None):
     """Rays, masks and pair tests agree; a polytope that needs more than
     ``most`` pair tests is rejected as an example, unchecked."""
     for kind in "PQ":
-        eqs, rows, n = cone_rows(g, kind)
+        eqs, m, _ = cone_rows(g, kind)
         if most is not None:
             try:
-                _extreme_rays(eqs, rows, n, most)
+                _extreme_rays(eqs, m, kind, most)
             except BudgetExceededError:
                 reject()
-        want, used = reference_extreme_rays(eqs, rows, n)
-        assert sorted(_extreme_rays(eqs, rows, n, used)) == sorted(want)
+        want, used = reference_extreme_rays(eqs, bound_rows(m, kind), m + 1)
+        assert sorted(_extreme_rays(eqs, m, kind, used)) == sorted(want)
         if used:
             with pytest.raises(BudgetExceededError) as err:
-                _extreme_rays(eqs, rows, n, used - 1)
+                _extreme_rays(eqs, m, kind, used - 1)
             assert err.value.phase == "vertex enumeration"
 
 
-# The double description from the equations' null space against the one
-# that takes the equations as rows: the same rays, zero sets and pair
-# tests, so budgets pass and fail where they did.
+# The double description from the equations' null space, reading its
+# bounds by id, against the one that takes the equations and the bounds as
+# dense rows: the same rays, zero sets and pair tests, so budgets pass and
+# fail where they did.
 DD_GRAPHS = [(name, g) for name, g in corpus()]
 DD_GRAPHS += [(f"gn{n}", make_gn(n)) for n in range(2, 11)]
 DD_GRAPHS += [(f"gnp{n}_{p}", make_gnp(n, p)) for n in range(2, 6) for p in range(1, 5)]
@@ -941,3 +956,95 @@ def test_tight_row_masks_match_the_coordinates(g):
 @example(path_graph(3))
 def test_tight_row_masks_match_the_coordinates_on_loop_graphs(g):
     assert_masks_match(g)
+
+
+def scan_periods(g, kind, most=None):
+    """coefficient_periods with each closure found by scanning every ray's
+    mask, uncapped: the periods and the closures they took.  A polytope
+    that needs more than ``most`` closures is rejected as an example."""
+    rays, den, dim, masks = _polytope_facts(g, kind, None)
+    periods = [1] * (dim + 1)
+    used = 0
+    for p in range(2, den + 1):
+        if den % p or any(p % f == 0 for f in range(2, p)):
+            continue
+        part = gcd(den, p ** den.bit_length())
+        inside = [i for i, r in enumerate(rays) if r[0] % p == 0]
+        allowed = sum(1 << i for i in inside)
+        todo = [(1 << i, masks[i]) for i in inside]
+        seen = {f for f, _ in todo}
+        while todo:
+            face, tight = todo.pop()
+            verts = [r for i, r in enumerate(rays) if face >> i & 1]
+            d = len(_reduce(verts)) - 1
+            periods[d] = lcm(periods[d], gcd(part, *(r[0] for r in verts)))
+            for i in inside:
+                if face >> i & 1:
+                    continue
+                used += 1
+                if most is not None and used > most:
+                    reject()
+                rows = tight & masks[i]
+                closure = sum(1 << j for j, z in enumerate(masks) if z & rows == rows)
+                if closure & ~allowed == 0 and closure not in seen:
+                    seen.add(closure)
+                    todo.append((closure, rows))
+    return tuple(periods), used
+
+
+def assert_same_periods(g, most=None):
+    """Periods and closures agree with the scan, so the closure budget
+    passes and fails where it did; the vertex enumeration runs uncapped.
+    A polytope past ``most`` pair tests or closures is rejected."""
+    real = _polytope_facts
+    for kind in "PQ":
+        if most is not None:
+            try:
+                real(g, kind, most)
+            except BudgetExceededError:
+                reject()
+        if not real(g, kind, None)[0]:
+            continue
+        want, used = scan_periods(g, kind, most)
+        uncapped = mock.patch.object(
+            geometry, "_polytope_facts", lambda g, kind, budget: real(g, kind, None)
+        )
+        with uncapped:
+            assert coefficient_periods(g, kind, budget=used) == want
+            if used:
+                with pytest.raises(BudgetExceededError) as err:
+                    coefficient_periods(g, kind, budget=used - 1)
+                assert (err.value.phase, err.value.consumed) == (
+                    "face enumeration",
+                    used,
+                )
+
+
+# Each closure as the AND of its bounds' ray bitmasks against a scan of
+# every ray's mask: the same periods and the same closure counts.
+PERIODS = NAMED + [("eight_edges", eight_edges())]
+
+
+@pytest.mark.parametrize("g", [g for _, g in PERIODS], ids=[n for n, _ in PERIODS])
+def test_face_closures_match_the_mask_scan(g):
+    assert_same_periods(g)
+
+
+@st.composite
+def linked_loop_graphs(draw):
+    """4 to 6 vertices, at least one link per vertex and at most one loop
+    at each: often many fractional vertices, so many faces to close."""
+    n = draw(st.integers(4, 6))
+    vs = tuple(f"v{i}" for i in range(n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    links = draw(st.lists(st.sampled_from(pairs), min_size=n, max_size=9, unique=True))
+    loops = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    edges = [(vs[a], vs[b]) for a, b in links]
+    edges += [(v, v) for v, loop in zip(vs, loops) if loop]
+    return Graph(vs, tuple(edges))
+
+
+@SETTINGS
+@given(linked_loop_graphs())
+def test_face_closures_match_the_mask_scan_on_loop_graphs(g):
+    assert_same_periods(g, most=20_000)

@@ -449,6 +449,15 @@ class TestCoefficientPeriods:
                 "face enumeration exceeded the budget of 175 closures (reached 176)"
             )
 
+    def test_face_enumeration_budget_on_k5(self):
+        # K5's Q: 22 vertices, all of denominator 2, 143 pair tests and
+        # 4,462 closures; McMullen's bound is 2 on every coefficient.
+        g = build_graph(list("01234"), [list(e) for e in combinations("01234", 2)])
+        assert coefficient_periods(g, "Q", budget=4_462) == (2,) * 6
+        with pytest.raises(BudgetExceededError) as err:
+            coefficient_periods(g, "Q", budget=4_461)
+        assert (err.value.phase, err.value.consumed) == ("face enumeration", 4_462)
+
 
 class TestFactsCache:
     def test_small_budget_raises_after_a_cached_scan(self):

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import geometry, graphs, labelings, quasipolynomials, semigroups, verification
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, as_int
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -132,6 +132,9 @@ def _cmd_vertices(args, g, budget) -> int:
 
 
 def _cmd_cf(args, g, budget) -> int:
+    if args.verify:
+        # Before the vertex enumeration, and also on a graph with no element.
+        as_int(args.m_max, "m_max", 1)
     elems = semigroups.cf_elements(g, args.polytope, budget=budget)
     verdicts = [
         semigroups.verify_completely_fundamental(

@@ -1,6 +1,7 @@
 """The leaf module every other imports: the package's exception type, the
-value base ``Value`` and the gates every integer (``as_ints``) and exact
-value (``as_exact``) passes.  Bad input of every kind, a labeling
+value base ``Value`` and the gates every integer (``as_ints``, and
+``as_int``, which also holds an argument's least value) and exact value
+(``as_exact``) passes.  Bad input of every kind, a labeling
 ``stanley_decompose`` cannot split included, raises ValueError."""
 
 import operator
@@ -15,6 +16,15 @@ def as_ints(values, what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{what} must be integers") from None
+
+
+def as_int(value, what: str, least: int = 0) -> int:
+    # The one place an integer argument's least value is checked.
+    (value,) = as_ints((value,), what)
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}")
+    return value
 
 
 def as_exact(v) -> Fraction:

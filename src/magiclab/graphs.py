@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 
-from .errors import Value, as_ints
+from .errors import Value, as_int
 
 Edge = tuple[str, str]
 
@@ -87,8 +87,7 @@ def make_gn(n: int) -> Graph:
     rungs (a_i, b_i) for i = 1..n, then the spokes (x, a_i), then the
     spokes (y, b_i).
     """
-    if as_ints((n,), "n")[0] < 2:
-        raise ValueError("n must be at least 2")
+    n = as_int(n, "n", 2)
     avs = [f"a{i}" for i in range(1, n + 1)]
     bvs = [f"b{i}" for i in range(1, n + 1)]
     edges = list(zip(avs, bvs))
@@ -103,11 +102,7 @@ def make_gnp(n: int, p: int) -> Graph:
     Has 2pn + 2 vertices and n(2p+1) edges; p = 1 gives the same shape
     as ``make_gn(n)``.  Edges are ordered path by path from x to y.
     """
-    n, p = as_ints((n, p), "n and p")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    n, p = as_int(n, "n", 2), as_int(p, "p", 1)
     vertices: list[str] = []
     edges: list[Edge] = []
     for i in range(1, n + 1):
@@ -120,23 +115,20 @@ def make_gnp(n: int, p: int) -> Graph:
 
 def bouquet(loops: int = 2) -> Graph:
     """Single vertex carrying the given number of loops."""
-    if as_ints((loops,), "loop count")[0] < 0:
-        raise ValueError("loop count must be nonnegative")
+    loops = as_int(loops, "loop count")
     return Graph(("v",), tuple(("v", "v") for _ in range(loops)))
 
 
 def path_graph(num_vertices: int) -> Graph:
     """Path v1 - v2 - ... - v_n."""
-    if as_ints((num_vertices,), "vertex count")[0] < 1:
-        raise ValueError("a path needs at least one vertex")
+    num_vertices = as_int(num_vertices, "vertex count", 1)
     vs = [f"v{i}" for i in range(1, num_vertices + 1)]
     return Graph(tuple(vs), tuple(zip(vs, vs[1:])))
 
 
 def cycle_graph(num_vertices: int) -> Graph:
     """Cycle v1 - v2 - ... - v_n - v1."""
-    if as_ints((num_vertices,), "vertex count")[0] < 3:
-        raise ValueError("a cycle needs at least three vertices")
+    num_vertices = as_int(num_vertices, "vertex count", 3)
     vs = [f"v{i}" for i in range(1, num_vertices + 1)]
     return Graph(tuple(vs), tuple(zip(vs, vs[1:] + vs[:1])))
 

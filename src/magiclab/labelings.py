@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
-from .errors import BudgetExceededError, Value, as_ints
+from .errors import BudgetExceededError, Value, as_int, as_ints
 from .graphs import Graph, graph_hash, make_gn
 
 
@@ -16,11 +16,7 @@ class Labeling(Value):
 
     def __init__(self, graph: Graph, labels: tuple[int, ...]):
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "labels", as_ints(labels, "labels"))
-        if len(self.labels) != len(self.graph.edges):
-            raise ValueError("label vector length must equal the edge count")
-        if any(x < 0 for x in self.labels):
-            raise ValueError("labels must be nonnegative")
+        object.__setattr__(self, "labels", _edge_bounds(graph, labels, "labels"))
 
 
 def _made(g: Graph, labels: tuple[int, ...]) -> Labeling:
@@ -76,7 +72,7 @@ def li_matching(n: int, i: int) -> Labeling:
     rung i; the labeling is magic of index 1.
     """
     g = make_gn(n)
-    if not 1 <= as_ints((i,), "i")[0] <= n:
+    if as_int(i, "i", 1) > n:
         raise ValueError(f"i must be between 1 and {n}")
     labels = [0] * (3 * n)
     for j in range(1, n + 1):
@@ -364,9 +360,7 @@ def count_series(
     of the transitions of one ``count_magic_k`` per k.  ``budget`` caps
     the state transitions of every pass of the sweep together.
     """
-    (kmax,) = as_ints((kmax,), "kmax")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
+    kmax = as_int(kmax, "kmax")
     magic, index = [], []
     below = used = 0
     for k in range(kmax + 1):
@@ -381,10 +375,7 @@ def count_series(
 
 
 def _uniform_caps(g: Graph, k: int) -> list[int]:
-    (k,) = as_ints((k,), "k")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return [k] * len(g.edges)
+    return [as_int(k, "k")] * len(g.edges)
 
 
 def enumerate_magic_k(g: Graph, k: int, *, budget: int | None = None) -> list[Labeling]:

@@ -13,7 +13,7 @@ from itertools import zip_longest
 from math import comb, gcd, lcm
 
 from . import geometry, labelings
-from .errors import Value, as_exact, as_ints
+from .errors import Value, as_exact, as_int, as_ints
 from .graphs import Graph
 
 Coeffs = tuple[Fraction, ...]
@@ -31,21 +31,13 @@ def binomial(j: int, m: int) -> int:
 
 def f_n(n: int, k: int) -> int:
     """Sum of C(j, n) over 0 <= j <= k with j congruent to k mod n."""
-    n, k = as_ints((n, k), "n and k")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    n, k = as_int(n, "n", 1), as_int(k, "k")
     return sum(binomial(j, n) for j in range(k % n, k + 1, n))
 
 
 def closed_form_mn(n: int, k: int) -> int:
     """Closed-form count of magic k-labelings of ``make_gn(n)``."""
-    n, k = as_ints((n, k), "n and k")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    n, k = as_int(n, "n", 2), as_int(k, "k")
     return binomial(k + n, n) + f_n(n - 1, k)
 
 
@@ -55,13 +47,9 @@ def iterated_difference_of_fn(n: int, i: int, t: int) -> int:
     Equals the sum of C(j, n-i) over 0 <= j <= t with j congruent to
     t mod n.
     """
-    n, i, t = as_ints((n, i, t), "n, i and t")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0 <= i <= n:
+    n, i, t = as_int(n, "n", 1), as_int(i, "i"), as_int(t, "t")
+    if i > n:
         raise ValueError("need 0 <= i <= n")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     return sum(binomial(j, n - i) for j in range(t % n, t + 1, n))
 
 
@@ -94,9 +82,7 @@ class Quasipolynomial(Value):
     _fields = ("period", "constituents")
 
     def __init__(self, period: int, constituents: tuple[Coeffs, ...]):
-        (period,) = as_ints((period,), "period")
-        if period < 1:
-            raise ValueError("period must be positive")
+        period = as_int(period, "period", 1)
         if len(constituents) != period:
             raise ValueError("need exactly one constituent per residue")
         parts = tuple(_trim(c) for c in constituents)

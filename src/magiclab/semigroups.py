@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import geometry
-from .errors import BudgetExceededError, Value, as_ints
+from .errors import BudgetExceededError, Value, as_int
 from .graphs import Edge, Graph, forced_max_edge, is_bipartite
 from .labelings import (
     Labeling,
@@ -31,9 +31,7 @@ class SemigroupElement(Value):
 
     def __init__(self, labeling: Labeling, height: int):
         object.__setattr__(self, "labeling", labeling)
-        object.__setattr__(self, "height", as_ints((height,), "height")[0])
-        if self.height < 0:
-            raise ValueError("height must be nonnegative")
+        object.__setattr__(self, "height", as_int(height, "height"))
 
 
 def validate_element(g: Graph, kind: str, elem: SemigroupElement) -> None:
@@ -123,9 +121,7 @@ def verify_completely_fundamental(
     separately: one search per (m, h) box for "P", one per m for "Q".
     """
     validate_element(g, kind, elem)
-    (m_max,) = as_ints((m_max,), "m_max")
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
+    m_max = as_int(m_max, "m_max", 1)
     if elem.height == 0 and not any(elem.labeling.labels):
         raise ValueError("the zero element is never completely fundamental")
     for m in range(1, m_max + 1):

@@ -256,6 +256,25 @@ class TestCf:
         assert main(["cf", "--graph", g2_path, "--verify", "--m-max", "2"]) == 0
         assert "unrefuted" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "graph, kind",
+        [('{"vertices":["v"],"edges":[]}', "Q"), (graph_to_json(make_gn(3)), "P")],
+        ids=["one_vertex_no_element", "g3"],
+    )
+    def test_verify_rejects_m_max_0_on_every_graph(
+        self, graph, kind, tmp_path, capsys, monkeypatch
+    ):
+        from magiclab import semigroups
+
+        path = tmp_path / "g.json"
+        path.write_text(graph)
+        # The gate runs before the elements are computed, not after.
+        monkeypatch.setattr(semigroups, "cf_elements", None)
+        argv = ["cf", "--graph", str(path), "--polytope", kind, "--verify", "--m-max", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: m_max must be at least 1\n"
+
 
 class TestDecompose:
     def test_lstar3(self, tmp_path, capsys):

@@ -13,7 +13,11 @@ name the package exports is used by another module or by a test.  Every
 ``budget`` parameter with a default defaults to None, which means no cap.
 Only ``errors.py`` names ``operator.index``: integer input is judged by
 its one gate, ``errors.as_ints``, and each public callable that takes an
-integer raises ValueError for a float.  Only ``labelings._made`` builds an
+integer raises ValueError for a float.  An integer argument with a least
+value is held to it by ``errors.as_int`` (or, for a label vector, by
+``labelings._edge_bounds``): one below the least raises ValueError with
+the one message "<name> must be nonnegative" or "<name> must be at least
+<least>", and a float "<name> must be integers".  Only ``labelings._made`` builds an
 object past its checks (through ``__new__``), so the library has one
 unchecked path for the labelings it makes.
 
@@ -44,7 +48,13 @@ from magiclab import (
     bouquet,
     cf_elements,
     closed_form_mn,
+    count_index_k,
+    count_magic_k,
+    count_series,
     cycle_graph,
+    enumerate_index_k,
+    enumerate_magic_bounded,
+    enumerate_magic_k,
     f_n,
     graph_hash,
     iterated_difference_of_fn,
@@ -348,6 +358,62 @@ NON_INTEGER_CALLS = {
 def test_a_non_integer_argument_raises_value_error(call):
     with pytest.raises(ValueError, match="must be integers"):
         call()
+
+
+G2 = make_gn(2)
+ZERO2 = Labeling(G2, (0,) * 6)
+# Per integer argument: the name its messages use, its least value, and a
+# call that passes the value as that argument and is valid at the least.
+INTEGER_GATES = {
+    "make_gn-n": ("n", 2, make_gn),
+    "make_gnp-n": ("n", 2, lambda x: make_gnp(x, 1)),
+    "make_gnp-p": ("p", 1, lambda x: make_gnp(2, x)),
+    "bouquet": ("loop count", 0, bouquet),
+    "path_graph": ("vertex count", 1, path_graph),
+    "cycle_graph": ("vertex count", 3, cycle_graph),
+    "li_matching-i": ("i", 1, lambda x: li_matching(3, x)),
+    "count_series": ("kmax", 0, lambda x: count_series(G2, x)),
+    "count_magic_k": ("k", 0, lambda x: count_magic_k(G2, x)),
+    "count_index_k": ("k", 0, lambda x: count_index_k(G2, x)),
+    "enumerate_magic_k": ("k", 0, lambda x: enumerate_magic_k(G2, x)),
+    "enumerate_index_k": ("k", 0, lambda x: enumerate_index_k(G2, x)),
+    "Labeling": ("labels", 0, lambda x: Labeling(G2, (x, 0, 0, 0, 0, 0))),
+    "enumerate_magic_bounded-caps": (
+        "caps",
+        0,
+        lambda x: enumerate_magic_bounded(G2, (x, 1, 1, 1, 1, 1)),
+    ),
+    "enumerate_magic_bounded-floors": (
+        "floors",
+        0,
+        lambda x: enumerate_magic_bounded(G2, (1,) * 6, floors=(x, 0, 0, 0, 0, 0)),
+    ),
+    "f_n-n": ("n", 1, lambda x: f_n(x, 3)),
+    "f_n-k": ("k", 0, lambda x: f_n(2, x)),
+    "closed_form_mn-n": ("n", 2, lambda x: closed_form_mn(x, 3)),
+    "closed_form_mn-k": ("k", 0, lambda x: closed_form_mn(2, x)),
+    "iterated_difference_of_fn-n": ("n", 1, lambda x: iterated_difference_of_fn(x, 0, 3)),
+    "iterated_difference_of_fn-i": ("i", 0, lambda x: iterated_difference_of_fn(3, x, 3)),
+    "iterated_difference_of_fn-t": ("t", 0, lambda x: iterated_difference_of_fn(3, 1, x)),
+    "Quasipolynomial": ("period", 1, lambda x: Quasipolynomial(x, ((1,),))),
+    "SemigroupElement": ("height", 0, lambda x: SemigroupElement(ZERO2, x)),
+    "verify_completely_fundamental": (
+        "m_max",
+        1,
+        lambda x: verify_completely_fundamental(G2, "P", cf_elements(G2, "P")[-1], x),
+    ),
+}
+
+
+@pytest.mark.parametrize("what, least, call", INTEGER_GATES.values(), ids=INTEGER_GATES)
+def test_an_integer_argument_has_one_gate(what, least, call):
+    call(least)
+    bound = "nonnegative" if least == 0 else f"at least {least}"
+    with pytest.raises(ValueError) as below:
+        call(least - 1)
+    assert str(below.value) == f"{what} must be {bound}"
+    with pytest.raises(ValueError, match=f"^{what} must be integers$"):
+        call(2.5)
 
 
 def loop_graph():

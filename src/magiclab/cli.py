@@ -195,12 +195,10 @@ def _cmd_check(args, g, budget) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "gn":
-        g = graphs.make_gn(args.n)
-    else:
-        if args.p is None:
-            raise ValueError("family gnp requires -p")
-        g = graphs.make_gnp(args.n, args.p)
+    gn = args.family == "gn"
+    if gn != (args.p is None):
+        raise ValueError("family gn takes no -p" if gn else "family gnp requires -p")
+    g = graphs.make_gn(args.n) if gn else graphs.make_gnp(args.n, args.p)
     text = graphs.graph_to_json(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -226,17 +226,19 @@ def coefficient_periods(
     of D·F holds a lattice point for every i-face F.  For one face the D
     that work are the multiples of one that divides every vertex
     denominator, so p_i = lcm over the i-faces of the gcd of their vertex
-    denominators is a multiple of it.  For each prime p of den, the
-    faces whose vertex denominators p all divides give p_i's p-part; they
-    are grown from single vertices one vertex at a time as closures of
-    bitmasks (a face's tight bounds, the rays' masks, are those its
-    vertices share; its vertices are all those tight on them), and one
-    ``_reduce`` rank gives each face's dimension.  ``budget`` caps the
-    pair tests of the vertex enumeration and, separately, the closures;
-    ``None`` means no cap.  An empty polytope raises ValueError.
+    denominators is a multiple of it.  A face whose gcd is not 1 is
+    reached by the walk of each prime p of den dividing it, which grows
+    the faces whose vertex denominators p all divides from single
+    vertices, one vertex at a time, as closures of bitmasks (a face's
+    tight bounds, the rays' masks, are those its vertices share; its
+    vertices are all those tight on them); one ``_reduce`` rank gives each
+    face's dimension.  ``budget`` caps the pair tests of the vertex
+    enumeration and, separately, the closures; ``None`` means no cap.
+    An empty polytope raises ValueError.
     """
-    den = polytope_denominator(g, kind, budget=budget)
-    rays, _, dim, masks = _polytope_facts(g, kind, budget)
+    rays, den, dim, masks = _polytope_facts(g, kind, budget)
+    if not rays:
+        raise ValueError("polytope is empty")
     periods = [1] * (dim + 1)
     used = 0
     # The rays tight on each bound as a bitmask over rays; those tight on a
@@ -246,7 +248,6 @@ def coefficient_periods(
     for p in range(2, den + 1):
         if den % p or any(p % f == 0 for f in range(2, p)):
             continue  # not a prime of den
-        part = gcd(den, p ** den.bit_length())  # den's p-part
         inside = [i for i, r in enumerate(rays) if r[0] % p == 0]
         allowed = sum(1 << i for i in inside)
         # Each face: its vertices as a bitmask over rays, and its tight bounds.
@@ -256,7 +257,7 @@ def coefficient_periods(
             face, tight = todo.pop()
             verts = [r for i, r in enumerate(rays) if face >> i & 1]
             d = len(_reduce(verts)) - 1
-            periods[d] = lcm(periods[d], gcd(part, *(r[0] for r in verts)))
+            periods[d] = lcm(periods[d], gcd(*(r[0] for r in verts)))
             for i in inside:
                 if face >> i & 1:
                     continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from . import geometry, labelings
 from .errors import Value, as_exact, as_int, as_ints
@@ -181,50 +181,43 @@ def fit_quasipolynomial(samples, period, degree: int) -> Quasipolynomial:
 
     ``samples[k]`` is the value at k.  ``period`` is one period p_i per
     coefficient of t^i, or one int for all of them; the result has
-    period lcm(p).  The sum(p) unknowns are solved from the first sum(p)
-    samples with ``geometry._reduce``, and every remaining sample then
-    validates the fit, so a wrong period or degree guess that one of them
-    refutes raises ValueError instead of returning a bad quasipolynomial.
-    Needs ``samples_needed`` samples.  When each p_i divides p_(i-1), as
-    in every Ehrhart bound, the fitted functions solve a linear
-    recurrence of order sum(p), so the first sum(p) samples determine
-    them; for other periods, a system they leave short of full rank
-    raises ValueError.
+    period lcm(p).  The sum(p) unknowns are one linear system, solved
+    from the first sum(p) samples by one ``geometry._reduce``; every
+    later sample then validates the fit, so a wrong period or degree
+    guess that one refutes raises ValueError instead of returning a bad
+    quasipolynomial.  Needs ``samples_needed`` samples.  When each p_i
+    divides p_(i-1), as in every Ehrhart bound, the fitted functions
+    solve a linear recurrence of order sum(p), so the first sum(p)
+    samples determine them; for other periods, a system they leave
+    short of full rank raises ValueError.
     """
     periods, degree = _periods(period, degree)
     values = list(map(as_exact, samples))
     need = samples_needed(periods, degree)
     if len(values) < need:
         raise ValueError(f"need at least {need} samples, got {len(values)}")
-    # The unknown a[i][r] is the coefficient of t^i at t = r mod p_i.  Two
-    # samples share an unknown only if they agree mod g = gcd(p), so the
-    # system splits into one block per class c mod g: its u unknowns (those
-    # with r = c mod g, a[i][r] in column start[i] + r // g) and its u
-    # samples below sum(p).  With one period, each block is one residue's
-    # Vandermonde system.
-    size, g = sum(periods), gcd(*periods)
-    u = size // g
-    start = [sum(periods[:i]) // g for i in range(degree + 1)]
-    a = [[None] * p for p in periods]
-    for c in range(g):
-        rows = []
-        for t in range(c, size, g):
-            n, d = values[t].as_integer_ratio()
-            row = [0] * u + [n]
-            for i, p in enumerate(periods):
-                row[start[i] + t % p // g] = d * t**i
-            rows.append(row)
-        # Full rank leaves one pivot row per unknown, diagonal in them.
-        reduced = geometry._reduce(rows)
-        if len(reduced) < u or not reduced[-1][u - 1]:
-            raise ValueError(
-                f"the first {size} samples do not determine coefficients "
-                f"of periods {periods}"
-            )
+    # The unknown a[i][r], the coefficient of t^i at t = r mod p_i, sits
+    # in column start[i] + r; there is one row per sample below sum(p).
+    size = sum(periods)
+    start = [sum(periods[:i]) for i in range(degree + 1)]
+    rows = []
+    for t in range(size):
+        n, d = values[t].as_integer_ratio()
+        row = [0] * size + [n]
         for i, p in enumerate(periods):
-            for r in range(c, p, g):
-                k = start[i] + r // g
-                a[i][r] = Fraction(reduced[k][-1], reduced[k][k])
+            row[start[i] + t % p] = d * t**i
+        rows.append(row)
+    # Full rank leaves one pivot row per unknown, diagonal in them.
+    reduced = geometry._reduce(rows)
+    if len(reduced) < size or not reduced[-1][size - 1]:
+        raise ValueError(
+            f"the first {size} samples do not determine coefficients "
+            f"of periods {periods}"
+        )
+    a = [
+        [Fraction(reduced[k][-1], reduced[k][k]) for k in range(j, j + p)]
+        for j, p in zip(start, periods)
+    ]
     s = lcm(*periods)
     parts = (tuple(a[i][r % p] for i, p in enumerate(periods)) for r in range(s))
     q = Quasipolynomial(s, tuple(parts))

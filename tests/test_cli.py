@@ -53,6 +53,14 @@ class TestGen:
     def test_bad_n(self, capsys):
         assert main(["gen", "--family", "gn", "-n", "1"]) == 2
 
+    # -p 0 as well: a falsy value must not slip through as "no -p".
+    @pytest.mark.parametrize("p", ["5", "0"])
+    def test_gn_takes_no_p(self, capsys, p):
+        assert main(["gen", "--family", "gn", "-n", "2", "-p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: family gn takes no -p\n"
+
 
 class TestCount:
     def test_human(self, g4_path, capsys):

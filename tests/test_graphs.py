@@ -423,6 +423,10 @@ class TestGraphJson:
         with pytest.raises(ValueError):
             graph_from_json('{"vertices": ["a"], "edges": [["a"]]}')
 
+    def test_rejects_non_string_vertices(self):
+        with pytest.raises(ValueError, match="vertices must be a list of strings"):
+            graph_from_json('{"vertices": [1], "edges": []}')
+
 
 def test_vertex_sum_loop_counted_once():
     g = bouquet(2)

@@ -528,6 +528,10 @@ class TestLabelingJson:
         with pytest.raises(ValueError):
             labeling_from_json(make_gn(4), text)
 
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="labeling JSON must be"):
+            labeling_from_json(make_gn(3), "[]")
+
     def test_boolean_label_rejected(self):
         lab = Labeling(make_gn(2), (1, 0, 0, 0, 0, 0))
         text = labeling_to_json(lab).replace("[1,", "[true,")

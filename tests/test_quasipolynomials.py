@@ -131,6 +131,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="period"):
             Quasipolynomial(period, ((F(1),),))
 
+    def test_one_constituent_per_residue(self):
+        with pytest.raises(ValueError, match="need exactly one constituent per residue"):
+            Quasipolynomial(2, ((1,),))
+
     def test_float_coefficient_rejected(self):
         # Fraction(0.1) would be 3602879701896397/36028797018963968.
         with pytest.raises(ValueError, match="exact"):
@@ -253,6 +257,10 @@ class TestFit:
         samples = [count_magic_k(make_gn(4), k) for k in range(10)]
         assert samples_needed((3, 1, 1, 1, 1), 4) == 10
         assert fit_quasipolynomial(samples, (3, 1, 1, 1, 1), 4) == G4_EXPECTED
+
+    def test_samples_needed_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            samples_needed(1, -1)
 
     def test_one_period_is_every_coefficients(self):
         assert samples_needed(3, 4) == samples_needed((3,) * 5, 4) == 18

@@ -60,6 +60,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_element(make_gn(3), "P", SemigroupElement(lstar(3), 1))
 
+    def test_other_graph_rejected(self):
+        with pytest.raises(ValueError, match="element belongs to a different graph"):
+            validate_element(make_gn(3), "P", SemigroupElement(lstar(4), 3))
+
     def test_q_height_must_equal_index(self):
         with pytest.raises(ValueError):
             validate_element(make_gn(3), "Q", SemigroupElement(lstar(3), 2))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import BudgetExceededError, as_exact
+from .errors import BudgetExceededError, as_exact, as_int
 from .graphs import Graph
 
 Point = tuple[Fraction, ...]
@@ -86,6 +86,7 @@ def _extreme_rays(eqs, m: int, kind: str, budget: int | None):
     # bound i.  With lin from _null_space, bound i cuts the lineality space
     # exactly when column i is free, and every earlier ray and every later
     # lin vector already vanishes on it: the cut turns lin[i] into a ray.
+    budget = None if budget is None else as_int(budget, "budget")
     lin = _null_space(eqs, m + 1)
     rays: list[tuple[tuple[int, ...], int]] = []
     used = cuts = 0  # cuts: the bounds that cut the lineality space

@@ -169,6 +169,7 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None, spent=N
     the list holds offsets above them, each vertex sum starts at its
     floors' sum, and the floors are added back to each solution on output.
     """
+    budget = None if budget is None else as_int(budget, "budget")
     base = [0] * len(g.vertices)
     if floors is not None:
         if any(f > c for f, c in zip(floors, caps)):
@@ -289,6 +290,7 @@ def _count(
     # state transitions, one per (state, offset), counted on from the
     # ``used`` of earlier passes; returns the counts and the transitions
     # used by then.
+    budget = None if budget is None else as_int(budget, "budget")
     inc = [g.incidence[v] for v in g.vertices]
     least = min((sum(map(caps.__getitem__, es)) for es in inc), default=0)
     plan = _assignment_order(g)[1]

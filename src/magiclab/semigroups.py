@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import repeat
 from math import lcm
 
 from . import geometry
@@ -153,38 +154,48 @@ def verify_completely_fundamental(
     return CFVerdict(refuted=False, m_max=m_max)
 
 
+def _sparse(values):
+    """A vector as ``_combination`` takes it: (its nonzero (i, x), its sum)."""
+    return tuple((i, x) for i, x in enumerate(values) if x), sum(values)
+
+
 def _combination(vecs, target, budget) -> list[int] | None:
     """Counts, one per vector, of a nonnegative integer combination of
-    ``vecs`` equal to ``target`` (trailing zeros may be left off), or
-    None.  Depth first with an explicit stack of (remainder, count) per
-    vector, each count from the most the remainder allows down to 0, so
-    the first combination found has the lexicographically largest counts;
-    a (depth, remainder) whose every count failed is dead, never searched
-    again.  ``budget`` caps the counts tried."""
-    dead: set[tuple[int, tuple[int, ...]]] = set()
-    stack: list[tuple[tuple[int, ...], int]] = []
-    rem = tuple(target)
-    tried = 0
-    while any(rem):
-        depth = len(stack)
-        if depth < len(vecs) and (depth, rem) not in dead:
-            vec = vecs[depth]
-            stack.append((rem, min((r // v for r, v in zip(rem, vec) if v), default=0)))
+    ``vecs`` (made by ``_sparse``) equal to the nonnegative ``target``
+    (trailing zeros may be left off), or None.  Depth first over one
+    remainder updated in place, each count from the most it allows down
+    to 0, so the first combination found has the lexicographically largest
+    counts; a (depth, remainder) whose every count failed is dead, never
+    searched again.  ``budget`` caps the counts tried."""
+    budget = None if budget is None else as_int(budget, "budget")
+    dead, counts, rem, tried = set(), [], list(target), 0
+    left = sum(rem)  # zero exactly when rem is, as no entry is negative
+    while left:
+        depth = len(counts)
+        if depth < len(vecs) and not (dead and (depth, tuple(rem)) in dead):
+            support, weight = vecs[depth]
+            count = min((rem[i] // x for i, x in support), default=0)
+            counts.append(count)
+            for i, x in support:
+                rem[i] -= count * x
+            left -= count * weight
         else:
             # Dead end: one fewer of the deepest vector with a count left.
-            while stack and not stack[-1][1]:
-                dead.add((len(stack) - 1, stack.pop()[0]))
-            if not stack:
+            while counts and not counts[-1]:
+                counts.pop()
+                dead.add((len(counts), tuple(rem)))
+            if not counts:
                 return None
-            stack[-1] = (stack[-1][0], stack[-1][1] - 1)
+            counts[-1] -= 1  # one fewer: add the vector back once
+            for i, x in vecs[len(counts) - 1][0]:
+                rem[i] += x
+            left += vecs[len(counts) - 1][1]
         tried += 1
         if budget is not None and tried > budget:
             raise BudgetExceededError.over(
                 "Stanley extraction", "counts tried", budget, tried
             )
-        prev, count = stack[-1]
-        rem = tuple(r - count * v for r, v in zip(prev, vecs[len(stack) - 1]))
-    return [count for _, count in stack]
+    return counts
 
 
 def decompose_over_generators(
@@ -203,7 +214,7 @@ def decompose_over_generators(
     for gen in gens:
         if gen.labeling.graph != elem.labeling.graph:
             raise ValueError("generators must live on the element's graph")
-    vecs = [gen.labeling.labels + (gen.height,) for gen in gens]
+    vecs = [_sparse(gen.labeling.labels + (gen.height,)) for gen in gens]
     counts = _combination(vecs, elem.labeling.labels + (elem.height,), None)
     if counts is None:
         return None
@@ -232,9 +243,9 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     deleting the hub leaves three odd components, so there is no index-1
     piece.  ``budget`` caps the search nodes of the candidate search and,
     separately, the counts the combination search tries.  ``_pool``
-    memoises the candidates per (graph, min(lab, top), budget): a hit
-    searches no nodes, and a budget error is not cached, so each call
-    returns or raises as a fresh search would.
+    memoises the candidates and pieces per (graph, min(lab, top), budget):
+    a hit searches no nodes, a budget error is not cached, and a piece's
+    graph equals ``lab.graph`` but may be another object.
     """
     idx = is_magic(lab)
     if idx is None:
@@ -242,15 +253,14 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     if idx == 0:
         return []
     g = lab.graph
-    top = _top(g)
-    pool = _pool(g, tuple(min(x, top) for x in lab.labels), budget)
-    counts = _combination([p for _, p in pool], lab.labels, budget)
+    key = tuple(map(min, lab.labels, repeat(_top(g))))
+    _, vecs, pieces, order = _pool(g, key, budget)
+    counts = _combination(vecs, lab.labels, budget)
     if counts is None:
         raise ValueError(
             "labeling has no decomposition into magic labelings of index 1 and 2"
         )
-    used = sorted((p, n) for (_, p), n in zip(pool, counts) if n)
-    return [piece for p, n in used for piece in [_made(g, p)] * n]
+    return [pieces[i] for i in order if i < len(counts) for _ in range(counts[i])]
 
 
 @lru_cache(maxsize=64)
@@ -261,10 +271,15 @@ def _top(g: Graph) -> int:
 
 @lru_cache(maxsize=512)
 def _pool(g: Graph, caps: tuple[int, ...], budget: int | None):
-    """The Stanley candidates at most ``caps`` of index 1 to ``_top(g)``,
-    sorted (index, labels), memoised per positional (graph, caps, budget):
-    gn(5)'s index 1-9 labelings need 31 of 512 entries.  Errors are not cached."""
-    return tuple(sorted(_labelings(g, caps, range(1, _top(g) + 1), budget)))
+    """The Stanley candidates at most ``caps`` of index 1 to ``_top(g)``:
+    the sorted ``(index, labels)``, each one's ``_sparse`` vector and piece,
+    and their order by labels, memoised per positional (graph, caps,
+    budget); gn(5)'s index 1-9 need 31 of 512 entries.  Errors are not cached."""
+    entries = tuple(sorted(_labelings(g, caps, range(1, _top(g) + 1), budget)))
+    vecs = tuple(_sparse(labels) for _, labels in entries)
+    pieces = tuple(_made(g, labels) for _, labels in entries)
+    order = tuple(sorted(range(len(entries)), key=lambda i: entries[i][1]))
+    return entries, vecs, pieces, order
 
 
 class QuasiperiodCertificate(Value):

@@ -13,8 +13,9 @@ that bounds labels by their caps alone, the per-target label bounds
 against the search's solutions, the height-box CF oracle against a full
 enumeration of every decomposition and its half-height search against
 every height box, the generator decomposition's explicit stack against a
-recursive search, and the Stanley extraction's failures against the
-generator decomposition.
+recursive search, the combination search over sparse vectors against
+the dense search it replaced, and the Stanley extraction's failures
+against the generator decomposition.
 Graphs are small (at most 5 vertices and 7 edges where a label cube is
 filtered in full) with loops, parallel loops and isolated vertices.
 Examples are derandomised, so each run tries the same graphs.
@@ -65,7 +66,13 @@ from magiclab import (
 from magiclab import geometry
 from magiclab.geometry import _combine, _extreme_rays, _polytope_facts, _reduce
 from magiclab.labelings import _bounds, _count, _labelings, _steps
-from magiclab.semigroups import _combination, _is_multiple, _pool, validate_element
+from magiclab.semigroups import (
+    _combination,
+    _is_multiple,
+    _pool,
+    _sparse,
+    validate_element,
+)
 from test_geometry import brute_vertices, eight_edges, rref
 from test_graphs import brute_perfect_matchings
 from test_semigroups import hub_labeling
@@ -608,6 +615,70 @@ def test_decomposition_matches_the_recursive_search(case):
         assert list(got.items()) == list(want.items())
 
 
+def dense_combination(vecs, target, budget):
+    """The combination search on dense vectors, remainders as tuples on the
+    stack, as it was before its vectors were made sparse."""
+    dead = set()
+    stack = []
+    rem = tuple(target)
+    tried = 0
+    while any(rem):
+        depth = len(stack)
+        if depth < len(vecs) and (depth, rem) not in dead:
+            vec = vecs[depth]
+            stack.append((rem, min((r // v for r, v in zip(rem, vec) if v), default=0)))
+        else:
+            while stack and not stack[-1][1]:
+                dead.add((len(stack) - 1, stack.pop()[0]))
+            if not stack:
+                return None
+            stack[-1] = (stack[-1][0], stack[-1][1] - 1)
+        tried += 1
+        if budget is not None and tried > budget:
+            raise BudgetExceededError.over(
+                "Stanley extraction", "counts tried", budget, tried
+            )
+        prev, count = stack[-1]
+        rem = tuple(r - count * v for r, v in zip(prev, vecs[len(stack) - 1]))
+    return [count for _, count in stack]
+
+
+@st.composite
+def combination_cases(draw):
+    """0-5 vectors of length 1-4 with entries 0-3, all-zero ones included,
+    and a target of the same length with entries 0-6."""
+    n = draw(st.integers(1, 4))
+    vecs = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5))
+    return vecs, draw(st.tuples(*[st.integers(0, 6)] * n))
+
+
+def combination_outcome(search, vecs, target):
+    """The least budget the search passes at and its counts there, having
+    checked that each budget below raises with one more count tried."""
+    budget = 0
+    while True:
+        try:
+            return budget, search(vecs, target, budget)
+        except BudgetExceededError as err:
+            assert (err.phase, err.consumed) == ("Stanley extraction", budget + 1)
+            budget += 1
+
+
+# The sparse search over one remainder updated in place tries the same
+# counts as the dense search, so it passes at the same least budget with
+# the same counts, and with no budget it returns them too.
+@SETTINGS
+@given(combination_cases())
+@example(([(2,), (3,)], (7,)))
+@example(([(1, 1), (0, 0), (1, 0), (0, 1)], (2, 1)))
+def test_sparse_combination_matches_the_dense_search(case):
+    vecs, target = case
+    sparse = [_sparse(v) for v in vecs]
+    want = combination_outcome(dense_combination, vecs, target)
+    assert combination_outcome(_combination, sparse, target) == want
+    assert _combination(sparse, target, None) == want[1]
+
+
 def full_oracle(g, kind, elem, m_max):
     """The CF oracle before height boxes: every magic b <= m * elem, and
     for kind P every height from max(b) to m * height - max(c)."""
@@ -820,8 +891,8 @@ def test_stanley_pool_matches_the_bounded_enumeration(lab):
             for p in enumerate_magic_bounded(g, key)
             if is_magic(p) in allowed
         )
-        assert list(_pool(g, key, None)) == want
-        assert list(_pool(g, key, None)) == want
+        assert list(_pool(g, key, None)[0]) == want
+        assert list(_pool(g, key, None)[0]) == want
 
 
 def triangle_and_loop():
@@ -855,8 +926,8 @@ def least_search_budget(g, caps):
 def test_stanley_pieces_match_the_min_2_pool(lab):
     g = lab.graph
     wide = tuple(min(x, 2) for x in lab.labels)
-    pool = _pool(g, wide, None)
-    counts = _combination([p for _, p in pool], lab.labels, None)
+    pool, vecs, _, _ = _pool(g, wide, None)
+    counts = _combination(vecs, lab.labels, None)
     try:
         pieces = stanley_decompose(lab)
     except ValueError as err:

@@ -17,9 +17,11 @@ integer raises ValueError for a float.  An integer argument with a least
 value is held to it by ``errors.as_int`` (or, for a label vector, by
 ``labelings._edge_bounds``): one below the least raises ValueError with
 the one message "<name> must be nonnegative" or "<name> must be at least
-<least>", and a float "<name> must be integers".  Only ``labelings._made`` builds an
-object past its checks (through ``__new__``), so the library has one
-unchecked path for the labelings it makes.
+<least>", and a float "<name> must be integers"; a ``budget`` that is
+not None passes ``as_int`` where its phase counts.  Only
+``labelings._made`` builds an object past its checks (through
+``__new__``), so the library has one unchecked path for the labelings
+it makes.
 
 The seven value classes share the semantics of ``errors.Value``, and
 importing ``magiclab.cli`` in a fresh interpreter loads none of
@@ -38,6 +40,7 @@ import pytest
 
 import magiclab
 from magiclab import (
+    BudgetExceededError,
     CFVerdict,
     Graph,
     Labeling,
@@ -48,6 +51,7 @@ from magiclab import (
     bouquet,
     cf_elements,
     closed_form_mn,
+    coefficient_periods,
     count_index_k,
     count_magic_k,
     count_series,
@@ -63,6 +67,8 @@ from magiclab import (
     make_gn,
     make_gnp,
     path_graph,
+    polytope_vertices,
+    stanley_decompose,
     verify_completely_fundamental,
 )
 from magiclab.labelings import _made
@@ -414,6 +420,35 @@ def test_an_integer_argument_has_one_gate(what, least, call):
     assert str(below.value) == f"{what} must be {bound}"
     with pytest.raises(ValueError, match=f"^{what} must be integers$"):
         call(2.5)
+
+
+# One public entry per budgeted phase, and the phase that budget 0 stops
+# first: the budget is gated where the phase counts, so a float, a string
+# or a negative budget is bad input, while 0 caps the first unit of work.
+BUDGETS = {
+    "enumerate_magic_k": ("search", lambda b: enumerate_magic_k(G3, 2, budget=b)),
+    "count_magic_k": ("counting", lambda b: count_magic_k(G3, 2, budget=b)),
+    "polytope_vertices": (
+        "vertex enumeration",
+        lambda b: polytope_vertices(G3, "P", budget=b),
+    ),
+    "coefficient_periods": (
+        "vertex enumeration",
+        lambda b: coefficient_periods(G3, "Q", budget=b),
+    ),
+    "stanley_decompose": ("search", lambda b: stanley_decompose(lstar(3), budget=b)),
+}
+
+
+@pytest.mark.parametrize("phase, call", BUDGETS.values(), ids=BUDGETS)
+def test_a_budget_is_a_nonnegative_integer(phase, call):
+    for bad, message in ((1.5, "integers"), ("5", "integers"), (-1, "nonnegative")):
+        with pytest.raises(ValueError, match=f"^budget must be {message}$"):
+            call(bad)
+    with pytest.raises(BudgetExceededError) as err:
+        call(0)
+    assert err.value.phase == phase
+    call(None)
 
 
 def loop_graph():

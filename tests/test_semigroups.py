@@ -29,7 +29,13 @@ from magiclab import (
     vertex_sum,
     verify_completely_fundamental,
 )
-from magiclab.semigroups import _combination, _pool, heights_lcm, validate_element
+from magiclab.semigroups import (
+    _combination,
+    _pool,
+    _sparse,
+    heights_lcm,
+    validate_element,
+)
 from magiclab.verification import bridged_blocks
 
 
@@ -340,7 +346,7 @@ class TestStanleyDecompose:
     def test_budget_caps_the_counts_tried(self):
         # 7 = 3·2 + 1 fails at the last vector, so the search tries
         # 3 and 0, then 2 and 1: four counts.
-        vecs, target = [(2,), (3,)], (7,)
+        vecs, target = [_sparse((2,)), _sparse((3,))], (7,)
         for budget in range(4):
             with pytest.raises(BudgetExceededError) as err:
                 _combination(vecs, target, budget)
@@ -372,6 +378,23 @@ class TestStanleyDecompose:
             stanley_decompose(lab)
         info = _pool.cache_info()
         assert (len(labs), info.misses, info.hits) == (2001, 31, 1970)
+
+    def test_pieces_from_the_memo_live_on_an_equal_graph(self):
+        # Two equal gn(4) objects share pools, so a piece may carry the
+        # other object as its graph; it is equal all the same.
+        graphs = make_gn(4), make_gn(4)
+        assert graphs[0] == graphs[1] and graphs[0] is not graphs[1]
+        _pool.cache_clear()
+        for g in graphs:
+            for lab in enumerate_index_k(g, 3):
+                pieces = stanley_decompose(lab)
+                assert pieces
+                for piece in pieces:
+                    assert piece == Labeling(lab.graph, piece.labels)
+                    assert piece.graph == lab.graph
+                assert stanley_decompose(lab) == pieces
+        with pytest.raises(ValueError, match="no decomposition"):
+            stanley_decompose(hub_labeling())
 
     def test_a_pool_search_over_budget_raises_every_time(self):
         # The pool at budget None is memoised, but not for budget 5, and

@@ -150,7 +150,7 @@ def _enumerate_vertices(g: Graph, kind: str, budget: int | None):
     return _extreme_rays(eqs, n - 1, kind, budget)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _polytope_facts(g: Graph, kind: str, budget: int | None):
     """``(rays, denominator, dimension, masks)`` of one polytope, memoised.
 
@@ -159,7 +159,8 @@ def _polytope_facts(g: Graph, kind: str, budget: int | None):
     tight at ``rays[i]``, bit b for bound b: bound 0, t >= 0, is never
     tight; bound e + 1 is x_e >= 0 and, for P, bound m + 1 + e is x_e <= t
     (m edges).  Called positionally, so one (graph, kind, budget) is one
-    cache entry; a budget error is not cached.
+    cache entry; a budget error is not cached.  Typed, so a float budget
+    equal to a cached int one misses and meets the budget's gate.
     """
     pairs = sorted(_enumerate_vertices(g, _check_kind(kind), budget))
     rays, masks = tuple(zip(*pairs)) or ((), ())

@@ -19,12 +19,15 @@ class Labeling(Value):
         object.__setattr__(self, "labels", _edge_bounds(graph, labels, "labels"))
 
 
-def _made(g: Graph, labels: tuple[int, ...]) -> Labeling:
+def _made(g: Graph, labels: tuple[int, ...], index: int | None = None) -> Labeling:
     """A ``Labeling`` of a tuple the library made of nonnegative ints, one
-    per edge of g, without the checks that outside input goes through."""
+    per edge of g, without the checks that outside input goes through.
+    An ``index`` the maker knows is left where ``is_magic`` reads it."""
     lab = object.__new__(Labeling)
     object.__setattr__(lab, "graph", g)
     object.__setattr__(lab, "labels", labels)
+    if index is not None:
+        lab.__dict__["_index"] = index
     return lab
 
 
@@ -40,15 +43,16 @@ def is_magic(lab: Labeling) -> int | None:
 
     A graph with no vertices has index 0 by convention.  Index 0 is a
     valid magic labeling, so compare the result against None rather than
-    testing truthiness.
+    testing truthiness.  The result is kept in the instance ``__dict__``
+    (as ``functools.cached_property`` keeps its value), where ``_made``
+    may have put it already; equality, hash and repr never read it.
     """
-    get = lab.labels.__getitem__
-    sums = {sum(map(get, es)) for es in lab.graph.incidence.values()}
-    if not sums:
-        return 0
-    if len(sums) == 1:
-        return next(iter(sums))
-    return None
+    memo = lab.__dict__
+    if "_index" not in memo:
+        get = lab.labels.__getitem__
+        sums = {sum(map(get, es)) for es in lab.graph.incidence.values()}
+        memo["_index"] = sums.pop() if len(sums) == 1 else None if sums else 0
+    return memo["_index"]
 
 
 def max_label(lab: Labeling) -> int:
@@ -129,10 +133,11 @@ def _steps(g: Graph, caps):
     """The per-edge plan of the search and of the counting DP.
 
     Returns each vertex's capacity (the total cap of its incident edges)
-    and, for each edge in ``_assignment_order``, ``(edge, cap, ends)``
-    with one ``(vertex, capacity left after this edge)`` pair per end.
-    No vertex sum can grow past what its edges still to come allow, so
-    the capacity left bounds a label from below.
+    and, for each edge in ``_assignment_order``, the flat tuple ``(edge,
+    cap, u, after_u, w, after_w)``: its ends u and w (w == u for a loop),
+    each with the capacity left at it after this edge.  No vertex sum can
+    grow past what its edges still to come allow, so the capacity left
+    bounds a label from below.
     """
     # Walked backwards, the capacity left after an edge is what its ends
     # have gathered so far, and the totals are the capacities.
@@ -140,10 +145,8 @@ def _steps(g: Graph, caps):
     steps = []
     for ei, ui, wi in reversed(_assignment_order(g)[0]):
         cap = caps[ei]
-        if ui == wi:
-            steps.append((ei, cap, ((ui, capacity[ui]),)))
-        else:
-            steps.append((ei, cap, ((ui, capacity[ui]), (wi, capacity[wi]))))
+        steps.append((ei, cap, ui, capacity[ui], wi, capacity[wi]))
+        if ui != wi:
             capacity[wi] += cap
         capacity[ui] += cap
     steps.reverse()
@@ -163,11 +166,13 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None, spent=N
     starts from it and writes its count back at each solution and at its
     end.
 
-    The edges are assigned in the order of ``_steps`` with an explicit
-    stack: ``top[t]`` is the largest value position t may take, and the
-    current value lives in the label list itself.  Floors are a shift:
-    the list holds offsets above them, each vertex sum starts at its
-    floors' sum, and the floors are added back to each solution on output.
+    The edges are assigned depth first in the order of ``_steps``.  Only
+    a position with more than one value to try is a choice: it pushes
+    ``[position, value, top, vertex sums before it]``, and a dead end or
+    a solution jumps straight back to the last choice's next value, past
+    the forced positions after it.  Floors are a shift: the labels are
+    offsets above them, each vertex sum starts at its floors' sum, and
+    the floors are added back to each solution on output.
     """
     budget = None if budget is None else as_int(budget, "budget")
     base = [0] * len(g.vertices)
@@ -184,33 +189,37 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None, spent=N
     lowest = max(base, default=0)
     m = len(steps)
     labels = [0] * m
-    top = [0] * m
     nodes = spent[0] if spent else 0
     for target in range(least + 1) if indices is None else indices:
         if not lowest <= target <= least:
             continue
-        sums = base[:]
-        t = 0
-        while t >= 0:
+        sums, t, choices = base[:], 0, []
+        while True:
             while t < m:
-                ei, cap_e, ends = steps[t]
-                lo, hi = 0, cap_e
-                for vi, after in ends:
-                    need = target - sums[vi]
-                    if need - after > lo:
-                        lo = need - after
+                ei, cap_e, u, after_u, w, after_w = steps[t]
+                need = target - sums[u]
+                lo = need - after_u
+                hi = need if need < cap_e else cap_e
+                if w != u:
+                    need = target - sums[w]
+                    if need - after_w > lo:
+                        lo = need - after_w
                     if need < hi:
                         hi = need
+                if lo < 0:
+                    lo = 0
                 if lo > hi:
                     break
                 if budget is not None:
                     nodes += hi - lo + 1
                     if nodes > budget:
                         raise BudgetExceededError.over("search", "nodes", budget, nodes)
+                if lo < hi:
+                    choices.append([t, lo, hi, sums[:]])
                 labels[ei] = lo
-                top[t] = hi
-                for vi, _after in ends:
-                    sums[vi] += lo
+                sums[u] += lo
+                if w != u:
+                    sums[w] += lo
                 t += 1
             else:
                 if spent is not None:
@@ -218,29 +227,30 @@ def _labelings(g: Graph, caps, indices, budget: int | None, floors=None, spent=N
                 yield target, tuple(labels) if floors is None else tuple(
                     x + f for x, f in zip(labels, floors)
                 )
-            # Back up to the deepest position with a value left to try.
-            t -= 1
-            while t >= 0:
-                ei, _cap_e, ends = steps[t]
-                val = labels[ei]
-                if val < top[t]:
-                    labels[ei] = val + 1
-                    for vi, _after in ends:
-                        sums[vi] += 1
-                    t += 1
-                    break
-                labels[ei] = 0
-                for vi, _after in ends:
-                    sums[vi] -= val
-                t -= 1
+            if not choices:
+                break
+            # The last choice's next value, on the sums from before it.
+            choice = choices[-1]
+            t, val, top, sums = choice
+            val += 1
+            if val < top:
+                choice[1], sums = val, sums[:]
+            else:
+                choices.pop()
+            ei, _, u, _, w, _ = steps[t]
+            labels[ei] = val
+            sums[u] += val
+            if w != u:
+                sums[w] += val
+            t += 1
     if spent is not None:
         spent[0] = nodes
 
 
 def _collect(g: Graph, caps, indices, budget: int | None, floors=None) -> list[Labeling]:
-    """The search's solutions in its order, built by ``_made``: the search
-    yields tuples of nonnegative ints in coordinate order."""
-    return [_made(g, t) for _, t in _labelings(g, caps, indices, budget, floors)]
+    """The search's solutions in its order, built by ``_made`` with their
+    index: the search yields tuples of nonnegative ints in coordinate order."""
+    return [_made(g, t, i) for i, t in _labelings(g, caps, indices, budget, floors)]
 
 
 def _bounds(inc, target, caps):
@@ -311,8 +321,7 @@ def _count(
         _, steps = _steps(g, [c - f for f, c in zip(floors, ceils)])
         radix = target + 1
         states = {0: 1}
-        for (_, width, ends), (p1, p2, loop, closes) in zip(steps, plan):
-            (v1, a1), (v2, a2) = ends[0], ends[-1]
+        for (_, width, v1, a1, v2, a2), (p1, p2, loop, closes) in zip(steps, plan):
             f1, f2, w1, w2 = full[v1], full[v2], radix**p1, radix**p2
             step = w1 if loop else w1 + w2
             drop = sum(full[vi] * radix**p for vi, p in closes)

@@ -61,7 +61,8 @@ def cf_elements(
     cap).  Sorted by height then labels for a deterministic order.
     """
     rays = geometry._polytope_facts(g, kind, budget)[0]
-    return [SemigroupElement(_made(g, r[1:]), r[0]) for r in rays]
+    q = kind == "Q"  # a Q ray's height is its labeling's index
+    return [SemigroupElement(_made(g, r[1:], r[0] if q else None), r[0]) for r in rays]
 
 
 class CFVerdict(Value):
@@ -149,7 +150,10 @@ def verify_completely_fundamental(
                         m_max=m_max,
                         m=m,
                         b=SemigroupElement(b_lab, h_b),
-                        c=SemigroupElement(_made(g, c_labels), total_h - h_b),
+                        c=SemigroupElement(
+                            _made(g, c_labels, total_h - h_b if h is None else None),
+                            total_h - h_b,
+                        ),
                     )
     return CFVerdict(refuted=False, m_max=m_max)
 
@@ -277,7 +281,7 @@ def _pool(g: Graph, caps: tuple[int, ...], budget: int | None):
     budget); gn(5)'s index 1-9 need 31 of 512 entries.  Errors are not cached."""
     entries = tuple(sorted(_labelings(g, caps, range(1, _top(g) + 1), budget)))
     vecs = tuple(_sparse(labels) for _, labels in entries)
-    pieces = tuple(_made(g, labels) for _, labels in entries)
+    pieces = tuple(_made(g, labels, index) for index, labels in entries)
     order = tuple(sorted(range(len(entries)), key=lambda i: entries[i][1]))
     return entries, vecs, pieces, order
 

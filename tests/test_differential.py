@@ -7,7 +7,9 @@ dense rows, the face closures of the coefficient periods against a scan
 of every ray's mask, the CF elements against the scaled vertices, the
 preclusion class against brute-force matchings, the fraction-free row
 reduction against reduction over fractions, the index each search
-solution is reported with against the magic test, the counting DP
+solution is reported with against the magic test, the search's choice
+stack against the walk back one position at a time that it replaced
+(solutions, nodes spent and budget errors), the counting DP
 against the labeling search and against a tuple-state copy of the DP
 that bounds labels by their caps alone, the per-target label bounds
 against the search's solutions, the height-box CF oracle against a full
@@ -382,6 +384,122 @@ def test_search_reports_each_solution_index(gcf):
         assert is_magic(Labeling(g, labels)) == index
 
 
+def plan_ends(steps):
+    """Each step of ``_steps`` as ``(edge, cap, ends)``, one (vertex,
+    capacity left) pair per end, a loop's one end once."""
+    return [(e, c, ((u, a),) if u == w else ((u, a), (w, b))) for e, c, u, a, w, b in steps]
+
+
+def walk_labelings(g, caps, indices, budget, floors=None, spent=None):
+    """The labeling search as it was before its choice stack: ``top[t]``
+    is the largest value position t may take, the current value lives in
+    the label list, and a dead end or a solution walks back one position
+    at a time, forced positions included.  Same arguments and yields as
+    ``_labelings``, with nodes counted on descent in the same way."""
+    base = [0] * len(g.vertices)
+    if floors is not None:
+        if any(f > c for f, c in zip(floors, caps)):
+            return
+        caps = [c - f for c, f in zip(caps, floors)]
+        base = [sum(floors[ei] for ei in g.incidence[v]) for v in g.vertices]
+    capacity, steps = _steps(g, caps)
+    steps = plan_ends(steps)
+    least = min((b + c for b, c in zip(base, capacity)), default=0)
+    lowest = max(base, default=0)
+    m = len(steps)
+    labels = [0] * m
+    top = [0] * m
+    nodes = spent[0] if spent else 0
+    for target in range(least + 1) if indices is None else indices:
+        if not lowest <= target <= least:
+            continue
+        sums = base[:]
+        t = 0
+        while t >= 0:
+            while t < m:
+                ei, cap_e, ends = steps[t]
+                lo, hi = 0, cap_e
+                for vi, after in ends:
+                    need = target - sums[vi]
+                    if need - after > lo:
+                        lo = need - after
+                    if need < hi:
+                        hi = need
+                if lo > hi:
+                    break
+                if budget is not None:
+                    nodes += hi - lo + 1
+                    if nodes > budget:
+                        raise BudgetExceededError.over("search", "nodes", budget, nodes)
+                labels[ei] = lo
+                top[t] = hi
+                for vi, _after in ends:
+                    sums[vi] += lo
+                t += 1
+            else:
+                if spent is not None:
+                    spent[0] = nodes
+                yield target, tuple(labels) if floors is None else tuple(
+                    x + f for x, f in zip(labels, floors)
+                )
+            t -= 1
+            while t >= 0:
+                ei, _cap_e, ends = steps[t]
+                val = labels[ei]
+                if val < top[t]:
+                    labels[ei] = val + 1
+                    for vi, _after in ends:
+                        sums[vi] += 1
+                    t += 1
+                    break
+                labels[ei] = 0
+                for vi, _after in ends:
+                    sums[vi] -= val
+                t -= 1
+    if spent is not None:
+        spent[0] = nodes
+
+
+@st.composite
+def search_cases(draw):
+    """A loop graph with caps 0-4, floors at most the caps or None, and
+    every index or one target."""
+    g = draw(loop_graphs())
+    caps = [draw(st.integers(0, 4)) for _ in g.edges]
+    floors = [draw(st.integers(0, c)) for c in caps] if draw(st.booleans()) else None
+    indices = draw(st.none() | st.integers(0, 8).map(lambda t: (t,)))
+    return g, caps, indices, floors
+
+
+def search_trace(search, g, caps, indices, budget, floors):
+    """Each solution with the nodes spent when it was yielded, then the
+    nodes spent in all or the ``consumed`` of the budget error."""
+    spent, out = [0], []
+    try:
+        for index, labels in search(g, caps, indices, budget, floors, spent):
+            out.append((index, labels, spent[0]))
+    except BudgetExceededError as err:
+        return out, ("over", err.consumed)
+    return out, ("spent", spent[0])
+
+
+# The choice stack against the one-position-at-a-time walk: the same
+# solutions in the same order, the same nodes spent at each, and, under
+# every budget too small for the whole search, the same consumed count.
+@SETTINGS
+@given(search_cases())
+def test_choice_stack_matches_the_step_back_walk(case):
+    g, caps, indices, floors = case
+    unbounded = 10**9
+    want = search_trace(walk_labelings, g, caps, indices, unbounded, floors)
+    assert search_trace(_labelings, g, caps, indices, unbounded, floors) == want
+    least = want[1][1]
+    for budget in range(least):
+        assert search_trace(_labelings, g, caps, indices, budget, floors) == search_trace(
+            walk_labelings, g, caps, indices, budget, floors
+        )
+
+
 # The counting DP against the search it replaced for counting; the graph
 # with no vertices and an edgeless graph always run.
 @SETTINGS
@@ -447,6 +565,7 @@ def tuple_state_count(g, caps, first, last):
     Every pass runs, whether or not its target can be reached.
     """
     capacity, steps = _steps(g, caps)
+    steps = plan_ends(steps)
     last_step = {vi: t for t, (_, _, ends) in enumerate(steps) for vi, _ in ends}
     frontier, plan = [], []
     for t, (_, cap, ends) in enumerate(steps):

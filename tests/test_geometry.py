@@ -16,6 +16,7 @@ from magiclab import (
     Labeling,
     bouquet,
     build_graph,
+    cf_elements,
     coefficient_periods,
     cycle_graph,
     ehrhart_of_polytope,
@@ -466,6 +467,25 @@ class TestFactsCache:
         with pytest.raises(BudgetExceededError) as err:
             polytope_vertices(g, "P", budget=35)
         assert (err.value.phase, err.value.consumed) == ("vertex enumeration", 36)
+
+    # The memo is typed: a float budget equal to a cached int one misses
+    # it, so every reader of the memo meets the budget's gate.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            polytope_vertices,
+            polytope_denominator,
+            polytope_dimension,
+            cf_elements,
+            coefficient_periods,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_a_float_budget_raises_after_a_cached_int_one(self, call):
+        g = make_gn(3)
+        call(g, "P", budget=1000)
+        with pytest.raises(ValueError, match="budget must be integers"):
+            call(g, "P", budget=1000.0)
 
     def test_returned_list_is_a_copy(self):
         g = make_gn(3)

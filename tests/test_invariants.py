@@ -21,7 +21,8 @@ the one message "<name> must be nonnegative" or "<name> must be at least
 not None passes ``as_int`` where its phase counts.  Only
 ``labelings._made`` builds an object past its checks (through
 ``__new__``), so the library has one unchecked path for the labelings
-it makes.
+it makes; the index it may carry is the true one and shows in no
+comparison, hash or repr.
 
 The seven value classes share the semantics of ``errors.Value``, and
 importing ``magiclab.cli`` in a fresh interpreter loads none of
@@ -61,6 +62,7 @@ from magiclab import (
     enumerate_magic_k,
     f_n,
     graph_hash,
+    is_magic,
     iterated_difference_of_fn,
     li_matching,
     lstar,
@@ -70,6 +72,7 @@ from magiclab import (
     polytope_vertices,
     stanley_decompose,
     verify_completely_fundamental,
+    vertex_sum,
 )
 from magiclab.labelings import _made
 from magiclab.verification import CheckResult
@@ -564,6 +567,52 @@ def test_made_labelings_equal_checked_ones():
     g = make_gn(3)
     assert _made(g, (1,) * 9) == Labeling(g, (1,) * 9)
     assert hash(_made(g, (1,) * 9)) == hash(Labeling(g, (1,) * 9))
+
+
+def made_labelings():
+    """Labelings the library makes, each with whether it carries its
+    index from its maker: search solutions (with floors too), Stanley
+    pieces, CF elements and both parts of a P and a Q refutation."""
+    g, c3 = make_gn(3), cycle_graph(3)
+    floors = (1,) + (0,) * 8
+    doubled = SemigroupElement(Labeling(c3, (2, 2, 2)), 4)
+    refutations = [
+        verify_completely_fundamental(g, "P", SemigroupElement(lstar(3), 3), 1),
+        verify_completely_fundamental(c3, "Q", doubled, 1),
+    ]
+    assert all(v.refuted for v in refutations)
+    q_parts = [refutations[1].b.labeling, refutations[1].c.labeling]
+    carried = [
+        *enumerate_index_k(g, 2),
+        *enumerate_magic_bounded(g, (2,) * 9, floors=floors),
+        *stanley_decompose(lstar(3)),
+        *stanley_decompose(Labeling(c3, (4, 4, 4))),
+        *(e.labeling for e in cf_elements(g, "Q")),
+        *q_parts,
+    ]
+    computed = [
+        *(e.labeling for e in cf_elements(g, "P")),
+        refutations[0].c.labeling,
+    ]
+    return [(lab, True) for lab in carried] + [(lab, False) for lab in computed]
+
+
+# A carried index is the true one, and equality, hash and repr stay those
+# of the checked labeling with the same labels.
+def test_a_carried_index_is_true_and_invisible():
+    for lab, carried in made_labelings():
+        assert ("_index" in vars(lab)) == carried
+        (index,) = {vertex_sum(lab, v) for v in lab.graph.vertices}
+        assert is_magic(lab) == index
+        checked = Labeling(lab.graph, lab.labels)
+        assert lab == checked and hash(lab) == hash(checked)
+        assert "_index" not in repr(lab) and repr(lab) == repr(checked)
+
+
+def test_a_non_magic_labeling_is_not_magic_twice():
+    lab = Labeling(make_gn(3), (1,) + (0,) * 8)
+    assert is_magic(lab) is None
+    assert is_magic(lab) is None
 
 
 IMPORT_PROBE = """

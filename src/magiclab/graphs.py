@@ -218,8 +218,9 @@ def matching_preclusion_class(g: Graph, *, budget: int | None = None) -> str:
     ``"greater_than_one"``.  Only an edge of a perfect matching M can lie
     in all of them, so one search per edge of M, capped at 0, decides.
     ``budget`` caps the nodes of all these searches together; ``None``
-    means no cap.
+    means no cap.  It is gated on entry, also where no search runs.
     """
+    budget = None if budget is None else as_int(budget, "budget")
     caps = _matching_caps(g, False)
     spent = [0]
     found = None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
+from . import geometry
 from .errors import BudgetExceededError, Value, as_int, as_ints
 from .graphs import Graph, graph_hash, make_gn
 
@@ -356,6 +357,57 @@ def _count(
     return counts, used
 
 
+@lru_cache(maxsize=64)
+def _index_gate(g: Graph) -> int:
+    # The least k at which count_magic_k and count_series look up Q's
+    # window: m - rank(A) + 2, A the 0/1 vertex-edge incidence matrix.
+    # Q lies in the solutions of A x = 1, so dim Q <= m - rank(A), and a
+    # window holds at least dim Q + 2 samples.  Below it no count runs
+    # the double description.  Pure per graph, so memoised.
+    rows = [[int(ei in es) for ei in range(len(g.edges))] for es in g.incidence.values()]
+    return len(g.edges) - len(geometry._reduce(rows)) + 2
+
+
+def _index_fit(g: Graph, k: int, budget: int | None):
+    # L_Q with its window's transitions once k reaches the window, else
+    # (None, 0); see quasipolynomials._index_quasipolynomial.  The budget
+    # is gated here, below the gate too, before the memo keys on it.
+    budget = None if budget is None else as_int(budget, "budget")
+    if k < _index_gate(g):
+        return None, 0
+    from .quasipolynomials import _index_quasipolynomial
+
+    return _index_quasipolynomial(g, k, budget)
+
+
+def _integral(count) -> int:
+    # A count read from L_Q, which must be an integer: never truncated.
+    if count.denominator != 1:
+        raise ArithmeticError(f"{count} is not an integer count")
+    return count.numerator
+
+
+def _sweep(g: Graph, kmax: int, budget: int | None, index_fit=None, used: int = 0):
+    # count_series' loop.  Target k at cap k is count_index_k(g, k), read
+    # from index_fit when given; the targets above k are binding.  No
+    # target runs when k exceeds every vertex capacity.  Returns the
+    # magic and index counts for k = 0..kmax.
+    magic, index = [], []
+    below = 0
+    for k in range(kmax + 1):
+        caps = [k] * len(g.edges)
+        if index_fit is None:
+            counts, used = _count(g, caps, k, None, budget, used)
+            here, above = (counts or [0])[0], counts[1:]
+        else:
+            here = _integral(index_fit.evaluate(k))
+            above, used = _count(g, caps, k + 1, None, budget, used)
+        index.append(here)
+        below += here
+        magic.append(below + sum(above))
+    return magic, index
+
+
 def count_series(
     g: Graph, kmax: int, *, budget: int | None = None
 ) -> tuple[list[int], list[int]]:
@@ -368,21 +420,15 @@ def count_series(
     once, and for each k only the passes at the targets above k, which
     the cap does bind: the magic count is the sum of the index counts up
     to k plus those.  On the Ehrhart sweeps of gn(4..7) that is 18-33%
-    of the transitions of one ``count_magic_k`` per k.  ``budget`` caps
-    the state transitions of every pass of the sweep together.
+    of the transitions of one ``count_magic_k`` per k.  Once kmax
+    reaches the window N of Stanley's index quasipolynomial L_Q (as in
+    ``count_magic_k``), every index count is read from L_Q, fitted on
+    the passes 0..N - 1, and only the binding passes run.  ``budget``
+    caps the state transitions of every pass of the sweep together and,
+    separately, the pair tests and closures of Q's window.
     """
     kmax = as_int(kmax, "kmax")
-    magic, index = [], []
-    below = used = 0
-    for k in range(kmax + 1):
-        # Target k at cap k is count_index_k(g, k); the rest are binding.
-        # No target runs when k exceeds every vertex capacity.
-        counts, used = _count(g, [k] * len(g.edges), k, None, budget, used)
-        counts = counts or [0]
-        index.append(counts[0])
-        below += counts[0]
-        magic.append(below + sum(counts[1:]))
-    return magic, index
+    return _sweep(g, kmax, budget, *_index_fit(g, kmax, budget))
 
 
 def _uniform_caps(g: Graph, k: int) -> list[int]:
@@ -411,9 +457,24 @@ def count_magic_k(g: Graph, k: int, *, budget: int | None = None) -> int:
     state transitions: one per (state, label value), over every index.
     For every k up to some kmax, ``count_series`` gives the same counts
     and runs each pass at an index up to k only once.
+
+    The passes at an index t <= k, which the cap never binds, count the
+    lattice points of t·Q, Q the index polytope.  Once k reaches the
+    window N of Q's Ehrhart quasipolynomial L_Q (Stanley 1973: its
+    period divides 2), they are read from L_Q, fitted on the passes
+    0..N - 1, and only the passes above k run.  The window is looked up
+    (a double description and a face enumeration of Q) only from k =
+    m - rank(A) + 2 on, A the vertex-edge incidence matrix, since it
+    holds at least dim Q + 2 samples.  ``budget`` then also caps the
+    lookup's pair tests and closures, each separately, and the window's
+    transitions count with the rest.
     """
     caps = _uniform_caps(g, k)
-    return sum(_count(g, caps, 0, None, budget)[0])
+    index_fit, used = _index_fit(g, k, budget)
+    if index_fit is None:
+        return sum(_count(g, caps, 0, None, budget)[0])
+    below = _integral(sum(map(index_fit.evaluate, range(k + 1))))
+    return below + sum(_count(g, caps, k + 1, None, budget, used)[0])
 
 
 def enumerate_index_k(g: Graph, k: int, *, budget: int | None = None) -> list[Labeling]:

@@ -249,8 +249,10 @@ def stanley_decompose(lab: Labeling, *, budget: int | None = None) -> list[Label
     separately, the counts the combination search tries.  ``_pool``
     memoises the candidates and pieces per (graph, min(lab, top), budget):
     a hit searches no nodes, a budget error is not cached, and a piece's
-    graph equals ``lab.graph`` but may be another object.
+    graph equals ``lab.graph`` but may be another object.  ``budget`` is
+    gated on entry, also for the zero labeling.
     """
+    budget = None if budget is None else as_int(budget, "budget")
     idx = is_magic(lab)
     if idx is None:
         raise ValueError("labeling is not magic")

@@ -408,9 +408,16 @@ class TestFn:
 
 class TestBudgets:
     def test_count_budget_exit_code(self, g4_path, capsys):
-        assert main(["count", "--graph", g4_path, "-k", "6", "--budget", "5"]) == 3
+        assert main(["count", "--graph", g4_path, "-k", "4", "--budget", "5"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: counting exceeded the budget of 5 state transitions")
+
+    def test_count_budget_stops_the_index_lookup(self, g4_path, capsys):
+        # gn(4) looks up the window of Q's fit from k = 5 on, so at k = 6
+        # the budget stops Q's vertex enumeration before any count.
+        assert main(["count", "--graph", g4_path, "-k", "6", "--budget", "5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: vertex enumeration exceeded the budget of 5 pair tests")
 
     def test_vertices_budget_exit_code(self, g4_path, capsys):
         assert main(["vertices", "--graph", g4_path, "--budget", "5"]) == 3

@@ -11,7 +11,9 @@ solution is reported with against the magic test, the search's choice
 stack against the walk back one position at a time that it replaced
 (solutions, nodes spent and budget errors), the counting DP
 against the labeling search and against a tuple-state copy of the DP
-that bounds labels by their caps alone, the per-target label bounds
+that bounds labels by their caps alone, the counts that read their
+index passes from Stanley's index quasipolynomial against the pure DP
+and the closed form, the per-target label bounds
 against the search's solutions, the height-box CF oracle against a full
 enumeration of every decomposition and its half-height search against
 every height box, the generator decomposition's explicit stack against a
@@ -39,6 +41,7 @@ from magiclab import (
     Labeling,
     SemigroupElement,
     cf_elements,
+    closed_form_mn,
     coefficient_periods,
     count_index_k,
     count_magic_k,
@@ -65,9 +68,10 @@ from magiclab import (
     stanley_decompose,
     verify_completely_fundamental,
 )
-from magiclab import geometry
+from magiclab import geometry, labelings
 from magiclab.geometry import _combine, _extreme_rays, _polytope_facts, _reduce
 from magiclab.labelings import _bounds, _count, _labelings, _steps
+from magiclab.quasipolynomials import samples_needed
 from magiclab.semigroups import (
     _combination,
     _is_multiple,
@@ -513,17 +517,61 @@ def test_counts_match_the_labeling_search(g, k):
     assert count_index_k(g, k) == sum(1 for _ in _labelings(g, caps, (k,), None))
 
 
+def dp_counts(g, kmax):
+    """The magic and index counts for k = 0..kmax, one pure DP call each."""
+    m = len(g.edges)
+    magic = [sum(_count(g, [k] * m, 0, None, None)[0]) for k in range(kmax + 1)]
+    index = [sum(_count(g, [k] * m, k, k, None)[0]) for k in range(kmax + 1)]
+    return magic, index
+
+
 # The sweep's magic counts are prefix sums of its index counts plus the
-# passes the cap binds; each k must still give the per-k counts.
+# passes the cap binds, and past the window of L_Q its index counts come
+# from the fit; each k must still give the pure DP's counts.
 @SETTINGS
 @given(
     st.one_of(st.just(Graph((), ())), st.just(Graph(("a", "b"), ())), loop_graphs()),
-    st.integers(0, 5),
+    st.integers(0, 8),
 )
+@example(make_gn(3), 8)
 def test_count_series_matches_the_per_k_counts(g, kmax):
-    magic, index = count_series(g, kmax)
-    assert magic == [count_magic_k(g, k) for k in range(kmax + 1)]
-    assert index == [count_index_k(g, k) for k in range(kmax + 1)]
+    assert count_series(g, kmax) == dp_counts(g, kmax)
+
+
+# count_magic_k against the pure DP, past the window of L_Q or not.
+@SETTINGS
+@given(loop_graphs(), st.integers(0, 12))
+@example(make_gn(4), 12)
+def test_count_magic_k_matches_the_pure_dp(g, k):
+    assert count_magic_k(g, k) == sum(_count(g, [k] * len(g.edges), 0, None, None)[0])
+
+
+# The corpus holds gn(2..5), gnp(2, 2) and gnp(3, 2).
+ROUTE_GRAPHS = corpus() + [("g6", make_gn(6))]
+ROUTE_GRAPHS += [(f"gnp_{n}_{p}", make_gnp(n, p)) for n in (2, 3) for p in (1, 3)]
+
+
+# Both columns up to 2·N + 2, N the window of L_Q, so every residue of
+# L_Q's period is read past the window; a graph whose Q is empty never
+# fits and runs to its gate plus 2.
+@pytest.mark.parametrize("g", [g for _, g in ROUTE_GRAPHS], ids=[n for n, _ in ROUTE_GRAPHS])
+def test_the_index_route_matches_the_pure_dp(g):
+    dim = polytope_dimension(g, "Q")
+    if dim < 0:
+        kmax = labelings._index_gate(g) + 2
+    else:
+        kmax = 2 * samples_needed(coefficient_periods(g, "Q"), dim) + 2
+        assert labelings._index_fit(g, kmax, None)[0] is not None
+    magic, index = dp_counts(g, kmax)
+    assert count_series(g, kmax) == (magic, index)
+    assert [count_magic_k(g, k) for k in range(kmax + 1)] == magic
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_index_route_gives_the_closed_form(n):
+    magic, _ = count_series(make_gn(n), 60)
+    assert magic == [closed_form_mn(n, k) for k in range(61)]
+    assert count_magic_k(make_gn(n), 60) == closed_form_mn(n, 60)
 
 
 # Non-uniform caps: the DP's pass at each target against the search at

@@ -350,6 +350,15 @@ class TestMatchingPreclusion:
         assert (err.value.phase, err.value.consumed) == ("search", total)
 
 
+    @pytest.mark.parametrize("g", [path_graph(3), Graph((), ())], ids=["odd", "empty"])
+    @pytest.mark.parametrize("budget, message", [(1.5, "integers"), (-1, "nonnegative")])
+    def test_budget_is_gated_where_no_search_runs(self, g, budget, message):
+        # The odd path is "no_pm" and the graph with no vertices has the
+        # empty perfect matching, both without a search that counts nodes.
+        with pytest.raises(ValueError, match=f"^budget must be {message}$"):
+            matching_preclusion_class(g, budget=budget)
+
+
 class TestForcedMaxEdge:
     def test_single_edge(self):
         g = path_graph(2)

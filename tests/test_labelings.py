@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -314,17 +315,23 @@ class TestCountSeries:
     @pytest.mark.parametrize(
         "count, calls",
         [
-            (lambda: count_magic_k(make_gn(4), 6), 10),
-            (lambda: count_series(make_gn(4), 20), 104),
+            (lambda: labelings._count(make_gn(4), [6] * 12, 0, None, None), 10),
+            (lambda: labelings._sweep(make_gn(4), 20, None), 104),
+            (lambda: count_magic_k(make_gn(4), 6), 8),
+            (lambda: count_series(make_gn(4), 20), 88),
         ],
-        ids=["count_magic_k", "count_series"],
+        ids=["dp-magic", "dp-series", "count_magic_k", "count_series"],
     )
     def test_a_ruled_out_target_ends_the_passes(self, monkeypatch, count, calls):
         # On gn(4) at cap k no target above 4k/3 is feasible, and the first
-        # one _bounds rules out ends the passes: count_magic_k(gn(4), 6)
-        # asks for targets 0..9, not 0..12 (the least vertex capacity), and
-        # count_series(gn(4), 20) makes 104 calls, not 231.  A skipped pass
-        # makes no transition, so only the calls show the stop.
+        # one _bounds rules out ends the passes: the pure DP at cap 6 asks
+        # for targets 0..9, not 0..12 (the least vertex capacity), and its
+        # sweep to kmax 20 makes 104 calls, not 231.  A skipped pass makes
+        # no transition, so only the calls show the stop.  From k = 5, the
+        # window of gn(4)'s L_Q, the counts take the index passes from its
+        # fit on the passes 0..4: count_magic_k(gn(4), 6) makes 5 calls
+        # there and 3 above the cap (targets 7..9), and count_series(gn(4),
+        # 20) makes 5 plus the sweep's 83 binding calls.
         seen = []
 
         def counted(*args):
@@ -335,6 +342,70 @@ class TestCountSeries:
         monkeypatch.setattr(labelings, "_bounds", counted)
         count()
         assert len(seen) == calls
+
+
+class TestIndexRoute:
+    """count_magic_k and count_series read their index passes from L_Q,
+    Stanley's index quasipolynomial, once k reaches its window."""
+
+    def test_the_gate_is_m_minus_the_incidence_rank_plus_two(self):
+        # gn(n): 3n edges, 2n + 2 vertices, bipartite and connected, so
+        # rank 2n + 1; K7: 21 edges and rank 7, as it has an odd cycle.
+        for n in range(2, 8):
+            assert labelings._index_gate(make_gn(n)) == n + 1
+        k7 = build_graph(list("0123456"), list(itertools.combinations("0123456", 2)))
+        assert labelings._index_gate(k7) == 16
+
+    def test_below_the_gate_no_window_is_looked_up(self, monkeypatch):
+        from magiclab import quasipolynomials
+
+        def looked_up(*args):
+            raise AssertionError("looked up Q's window below the gate")
+
+        monkeypatch.setattr(quasipolynomials, "_index_quasipolynomial", looked_up)
+        assert count_magic_k(make_gn(4), 4) == closed_form_mn(4, 4)
+        assert count_series(make_gn(4), 4)[0] == [closed_form_mn(4, k) for k in range(5)]
+        with pytest.raises(AssertionError, match="below the gate"):
+            count_magic_k(make_gn(4), 5)
+
+    def test_one_budget_covers_the_window_and_the_binding_passes(self):
+        # gn(4)'s window is the index passes 0..4, run at cap 4; at k = 6
+        # only the passes above 6 run on the DP besides.
+        g = make_gn(4)
+        window = labelings._count(g, [4] * 12, 0, 4, None)[1]
+        binding = labelings._count(g, [6] * 12, 7, None, None)[1]
+        total = window + binding
+        assert count_magic_k(g, 6, budget=total) == closed_form_mn(4, 6)
+        with pytest.raises(BudgetExceededError) as err:
+            count_magic_k(g, 6, budget=total - 1)
+        assert err.value.phase == "counting"
+
+    @pytest.mark.parametrize(
+        "budget, phase",
+        [(10, "vertex enumeration"), (175, "face enumeration"), (176, "counting")],
+    )
+    def test_the_lookup_counts_against_the_budget(self, budget, phase):
+        # The eight-edge graph's Q (gate 5, window 10) takes 12 pair tests
+        # and 176 closures before its window's passes.
+        edges = "01 02 03 04 12 13 24 34".split()
+        g = build_graph(list("01234"), [list(e) for e in edges])
+        for count in (count_magic_k, count_series):
+            with pytest.raises(BudgetExceededError) as err:
+                count(g, 12, budget=budget)
+            assert err.value.phase == phase
+
+    def test_a_count_that_is_not_an_integer_raises(self, monkeypatch):
+        from magiclab import quasipolynomials
+
+        # A constant 1/2: count_magic_k sums 7 of them at k = 6, to 7/2.
+        half = quasipolynomials.Quasipolynomial(1, ((Fraction(1, 2),),))
+        monkeypatch.setattr(
+            quasipolynomials, "_index_quasipolynomial", lambda g, k, budget: (half, 0)
+        )
+        with pytest.raises(ArithmeticError, match="^7/2 is not an integer count$"):
+            count_magic_k(make_gn(4), 6)
+        with pytest.raises(ArithmeticError, match="^1/2 is not an integer count$"):
+            count_series(make_gn(4), 6)
 
 
 class TestEnumerateIndexK:

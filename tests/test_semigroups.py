@@ -357,6 +357,14 @@ class TestStanleyDecompose:
         assert _combination(vecs, target, 4) == [2, 1]
         assert _combination(vecs, (1,), None) is None
 
+    @pytest.mark.parametrize("budget, message", [(1.5, "integers"), (-1, "nonnegative")])
+    def test_budget_is_gated_for_the_zero_labeling(self, budget, message):
+        # The zero labeling has no pieces and needs no search.
+        zero = Labeling(make_gn(3), (0,) * 9)
+        assert stanley_decompose(zero) == []
+        with pytest.raises(ValueError, match=f"^budget must be {message}$"):
+            stanley_decompose(zero, budget=budget)
+
     def test_a_repeated_labeling_reuses_its_pool(self):
         lab = scaled(lstar(3), 2)
         _pool.cache_clear()

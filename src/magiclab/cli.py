@@ -266,9 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "series",
         _cmd_series,
         "count series for k = 0..kmax; --budget caps the state transitions "
-        "of the whole sweep, not of each count, and, where kmax is large "
-        "enough to look up the index polytope's window, the pair tests and "
-        "closures of that lookup",
+        "of the whole sweep, not of each count",
     )
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument(

@@ -359,25 +359,80 @@ def _count(
 
 @lru_cache(maxsize=64)
 def _index_gate(g: Graph) -> int:
-    # The least k at which count_magic_k and count_series look up Q's
-    # window: m - rank(A) + 2, A the 0/1 vertex-edge incidence matrix.
-    # Q lies in the solutions of A x = 1, so dim Q <= m - rank(A), and a
-    # window holds at least dim Q + 2 samples.  Below it no count runs
-    # the double description.  Pure per graph, so memoised.
+    # The least k at which count_magic_k and count_series try the index
+    # route: m - rank(A) + 2, A the 0/1 vertex-edge incidence matrix.  A
+    # cheap heuristic, not a bound on Q's window: the window holds at
+    # least dim Q + 2 samples, and dim Q = m - rank(A) only when Q spans
+    # the solutions of A x = 1.  Below it a count runs as it always did.
+    # Pure per graph, so memoised.
     rows = [[int(ei in es) for ei in range(len(g.edges))] for es in g.incidence.values()]
     return len(g.edges) - len(geometry._reduce(rows)) + 2
 
 
-def _index_fit(g: Graph, k: int, budget: int | None):
-    # L_Q with its window's transitions once k reaches the window, else
-    # (None, 0); see quasipolynomials._index_quasipolynomial.  The budget
-    # is gated here, below the gate too, before the memo keys on it.
-    budget = None if budget is None else as_int(budget, "budget")
-    if k < _index_gate(g):
-        return None, 0
-    from .quasipolynomials import _index_quasipolynomial
+@lru_cache(maxsize=256)
+def _index_periods(g: Graph, cap: int):
+    # The coefficient periods of Q's Ehrhart quasipolynomial, () when Q
+    # is empty, or None when finding them takes more than ``cap`` pair
+    # tests or closures.  Memoised per (graph, cap), a lookup over its cap
+    # too: it is a fact of the pair, not an error, and the caps are powers
+    # of 2, so a graph has few entries.
+    try:
+        if geometry.polytope_dimension(g, "Q", budget=cap) < 0:
+            return ()
+        return geometry.coefficient_periods(g, "Q", budget=cap)
+    except BudgetExceededError:
+        return None
 
-    return _index_quasipolynomial(g, k, budget)
+
+class _IndexRoute:
+    """Stanley's index count L_Q for the index passes 0..kmax of one count.
+
+    ``fit`` is asked after each index pass t, in order, with the index
+    counts so far and the state transitions used.  Once the transitions
+    reach four times the next power of 2, it looks up Q's coefficient
+    periods under that many pair tests and closures, each, and the next
+    lookup waits for twice the cap.  So all the lookups together take at
+    most half as many pair tests as the DP took transitions before them.
+    Lookups stop past t = kmax / 2: before that, at least as many index
+    passes are left as have run, each no cheaper, so a lookup's cap is
+    at most a quarter of the work the route may save.  A graph whose Q
+    is dear (gn(14): 29.8M pair tests) thus only adds failed lookups to
+    the passes it runs anyway.  Once the periods are known and the
+    passes hold their window N, it returns L_Q, fitted on every pass so
+    far.  ``on`` is False below the gate, for an empty Q, for N > kmax,
+    where no pass would be saved, and once the lookups stop unanswered.
+    """
+
+    def __init__(self, g: Graph, kmax: int):
+        self.g, self.kmax, self.periods = g, kmax, None
+        # The next lookup's cap; it runs at four times that many transitions.
+        self.cap = 1 if kmax >= _index_gate(g) else None
+
+    @property
+    def on(self) -> bool:
+        return self.cap is not None
+
+    def fit(self, index: list[int], used: int):
+        from .quasipolynomials import fit_quasipolynomial, samples_needed
+
+        if self.periods is None:
+            if self.cap is None or 2 * (len(index) - 1) > self.kmax:
+                self.cap = None
+                return None
+            if used < 4 * self.cap:
+                return None
+            cap = 1 << (used // 4).bit_length() - 1
+            self.cap, periods = 2 * cap, _index_periods(self.g, cap)
+            if periods is None:
+                return None
+            if not periods or samples_needed(periods, len(periods) - 1) > self.kmax:
+                self.cap = None
+                return None
+            self.periods = periods
+        dim = len(self.periods) - 1
+        if len(index) < samples_needed(self.periods, dim):
+            return None
+        return fit_quasipolynomial(index, self.periods, dim)
 
 
 def _integral(count) -> int:
@@ -387,24 +442,27 @@ def _integral(count) -> int:
     return count.numerator
 
 
-def _sweep(g: Graph, kmax: int, budget: int | None, index_fit=None, used: int = 0):
+def _sweep(g: Graph, kmax: int, budget: int | None, route: _IndexRoute | None = None):
     # count_series' loop.  Target k at cap k is count_index_k(g, k), read
-    # from index_fit when given; the targets above k are binding.  No
-    # target runs when k exceeds every vertex capacity.  Returns the
-    # magic and index counts for k = 0..kmax.
+    # from the route's L_Q once it has one; the targets above k are
+    # binding.  No target runs when k exceeds every vertex capacity.
+    # Returns the magic and index counts for k = 0..kmax.
     magic, index = [], []
-    below = 0
+    below = used = 0
+    fit = None
     for k in range(kmax + 1):
         caps = [k] * len(g.edges)
-        if index_fit is None:
+        if fit is None:
             counts, used = _count(g, caps, k, None, budget, used)
             here, above = (counts or [0])[0], counts[1:]
         else:
-            here = _integral(index_fit.evaluate(k))
+            here = _integral(fit.evaluate(k))
             above, used = _count(g, caps, k + 1, None, budget, used)
         index.append(here)
         below += here
         magic.append(below + sum(above))
+        if fit is None and route is not None:
+            fit = route.fit(index, used)
     return magic, index
 
 
@@ -420,15 +478,14 @@ def count_series(
     once, and for each k only the passes at the targets above k, which
     the cap does bind: the magic count is the sum of the index counts up
     to k plus those.  On the Ehrhart sweeps of gn(4..7) that is 18-33%
-    of the transitions of one ``count_magic_k`` per k.  Once kmax
-    reaches the window N of Stanley's index quasipolynomial L_Q (as in
-    ``count_magic_k``), every index count is read from L_Q, fitted on
-    the passes 0..N - 1, and only the binding passes run.  ``budget``
-    caps the state transitions of every pass of the sweep together and,
-    separately, the pair tests and closures of Q's window.
+    of the transitions of one ``count_magic_k`` per k.  Past the window
+    of Stanley's index quasipolynomial L_Q, once it is found (as in
+    ``count_magic_k``), the index counts are read from L_Q and only the
+    binding passes run.  ``budget`` caps the state transitions of every
+    pass of the sweep together.
     """
     kmax = as_int(kmax, "kmax")
-    return _sweep(g, kmax, budget, *_index_fit(g, kmax, budget))
+    return _sweep(g, kmax, budget, _IndexRoute(g, kmax))
 
 
 def _uniform_caps(g: Graph, k: int) -> list[int]:
@@ -459,22 +516,31 @@ def count_magic_k(g: Graph, k: int, *, budget: int | None = None) -> int:
     and runs each pass at an index up to k only once.
 
     The passes at an index t <= k, which the cap never binds, count the
-    lattice points of t·Q, Q the index polytope.  Once k reaches the
-    window N of Q's Ehrhart quasipolynomial L_Q (Stanley 1973: its
-    period divides 2), they are read from L_Q, fitted on the passes
-    0..N - 1, and only the passes above k run.  The window is looked up
-    (a double description and a face enumeration of Q) only from k =
-    m - rank(A) + 2 on, A the vertex-edge incidence matrix, since it
-    holds at least dim Q + 2 samples.  ``budget`` then also caps the
-    lookup's pair tests and closures, each separately, and the window's
-    transitions count with the rest.
+    lattice points of t·Q, Q the index polytope, so they follow its
+    Ehrhart quasipolynomial L_Q (Stanley 1973: its period divides 2).
+    From k = m - rank(A) + 2 on (A the vertex-edge incidence matrix; a
+    cheap gate, n + 1 on gn(n)), the index passes run one at a time, and
+    Q's coefficient periods are looked up under a cap of a quarter of the
+    transitions used so far, up to the pass at k / 2 (see
+    ``_IndexRoute``).  Once they are found
+    and the passes hold the window N <= k, the rest of the index counts
+    up to k are read from L_Q and summed exactly, and only the passes
+    above k run.  A lookup over its cap is never an error: the passes
+    just go on.  So the DP runs no pass the pure count does not, and the
+    lookups add at most half its transitions.  ``budget`` caps the state
+    transitions only.
     """
     caps = _uniform_caps(g, k)
-    index_fit, used = _index_fit(g, k, budget)
-    if index_fit is None:
-        return sum(_count(g, caps, 0, None, budget)[0])
-    below = _integral(sum(map(index_fit.evaluate, range(k + 1))))
-    return below + sum(_count(g, caps, k + 1, None, budget, used)[0])
+    route, index, used = _IndexRoute(g, k), [], 0
+    while route.on and len(index) <= k:
+        t = len(index)
+        counts, used = _count(g, caps, t, t, budget, used)
+        index += counts or [0]
+        fit = route.fit(index, used)
+        if fit is not None:
+            below = sum(index) + _integral(sum(map(fit.evaluate, range(t + 1, k + 1))))
+            return below + sum(_count(g, caps, k + 1, None, budget, used)[0])
+    return sum(index) + sum(_count(g, caps, len(index), None, budget, used)[0])
 
 
 def enumerate_index_k(g: Graph, k: int, *, budget: int | None = None) -> list[Labeling]:

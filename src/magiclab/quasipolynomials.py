@@ -231,30 +231,6 @@ def fit_quasipolynomial(samples, period, degree: int) -> Quasipolynomial:
     return q
 
 
-def _index_quasipolynomial(g: Graph, limit: int | None, budget: int | None):
-    """Stanley's index count L_Q, fitted on its window, and the state
-    transitions the window's passes used; ``(None, 0)`` when Q is empty
-    or its window, ``samples_needed`` of Q's coefficient periods, holds
-    more than ``limit`` samples.
-
-    The samples are the index passes 0..N - 1 of one DP call at cap
-    N - 1: a cap of at least t never binds at target t, so its pass at t
-    is that of ``count_index_k(g, t)``.  ``budget`` caps the pair tests,
-    the closures and the transitions each, as in ``ehrhart_of_polytope``.
-    """
-    dim = geometry.polytope_dimension(g, "Q", budget=budget)
-    if dim < 0:
-        return None, 0
-    periods = geometry.coefficient_periods(g, "Q", budget=budget)
-    top = samples_needed(periods, dim) - 1
-    if limit is not None and top >= limit:
-        return None, 0
-    # No target above the least vertex capacity runs; those count 0.
-    values, used = labelings._count(g, [top] * len(g.edges), 0, top, budget)
-    values += [0] * (top + 1 - len(values))
-    return fit_quasipolynomial(values, periods, dim), used
-
-
 def ehrhart_of_polytope(
     g: Graph, kind: str = "P", *, budget: int | None = None
 ) -> Quasipolynomial:
@@ -269,21 +245,22 @@ def ehrhart_of_polytope(
     minimum period.  For P they come from one sweep of the loop behind
     ``labelings.count_series`` (each pass at an index up to k runs once,
     not once per k), all on the DP: no count is read from a fit.  For Q
-    they come from one DP call at cap K over the targets 0..K, and the
-    fit is the one that ``count_magic_k`` and ``count_series`` read
-    their index counts from once k reaches its window.  Each pass runs
-    on the label bounds its target allows.  ``budget`` caps the vertex-enumeration pair tests,
+    they come from one DP call at cap K over the targets 0..K: a cap of
+    at least t never binds at target t, so its pass at t is that of
+    ``count_index_k(g, t)``.  Each pass runs on the label bounds its
+    target allows.  ``budget`` caps the vertex-enumeration pair tests,
     the closures of the face enumeration and, separately, the state
     transitions of all the counts together, so it bounds the sweep's
     total work; ``None`` means no cap on any.  An empty polytope raises
     ValueError.
     """
-    if kind == "Q":
-        q, _ = _index_quasipolynomial(g, None, budget)
-        if q is None:
-            raise ValueError("polytope is empty")
-        return q
     periods = geometry.coefficient_periods(g, kind, budget=budget)
     dim = len(periods) - 1
-    values, _ = labelings._sweep(g, samples_needed(periods, dim) - 1, budget)
+    top = samples_needed(periods, dim) - 1
+    if kind == "P":
+        values = labelings._sweep(g, top, budget)[0]
+    else:
+        # No target above the least vertex capacity runs; those count 0.
+        values = labelings._count(g, [top] * len(g.edges), 0, top, budget)[0]
+        values += [0] * (top + 1 - len(values))
     return fit_quasipolynomial(values, periods, dim)

@@ -183,8 +183,8 @@ def check_minimum_quasiperiod_values() -> str | None:
 def check_quasiperiod_divides_denominator() -> str | None:
     # The fit saw the counts below its window only, so one full period of
     # the denominator past the window tests it at every residue.  The
-    # counts there are pure DP passes: count_magic_k would read its index
-    # passes from a fit too.
+    # counts there come from the pure DP sweep: count_magic_k may read its
+    # index passes from a fit too.
     for name, g in corpus():
         den = geometry.polytope_denominator(g, "P")
         periods = geometry.coefficient_periods(g, "P")
@@ -192,10 +192,10 @@ def check_quasiperiod_divides_denominator() -> str | None:
         if den % q.period:
             return f"{name}: quasiperiod {q.period} does not divide {den}"
         window = samples_needed(periods, len(periods) - 1)
+        counts = labelings._sweep(g, window + den - 1, None)[0]
         for t in range(window, window + den):
-            got = sum(labelings._count(g, [t] * len(g.edges), 0, None, None)[0])
-            if got != q.evaluate(t):
-                return f"{name} k={t}: counted {got}, fitted {q.evaluate(t)}"
+            if counts[t] != q.evaluate(t):
+                return f"{name} k={t}: counted {counts[t]}, fitted {q.evaluate(t)}"
     return None
 
 

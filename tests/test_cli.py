@@ -9,6 +9,7 @@ from magiclab import (
     Labeling,
     Quasipolynomial,
     bouquet,
+    closed_form_mn,
     cycle_graph,
     ehrhart_of_polytope,
     graph_from_json,
@@ -408,16 +409,18 @@ class TestFn:
 
 class TestBudgets:
     def test_count_budget_exit_code(self, g4_path, capsys):
-        assert main(["count", "--graph", g4_path, "-k", "4", "--budget", "5"]) == 3
+        assert main(["count", "--graph", g4_path, "-k", "6", "--budget", "5"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: counting exceeded the budget of 5 state transitions")
 
-    def test_count_budget_stops_the_index_lookup(self, g4_path, capsys):
-        # gn(4) looks up the window of Q's fit from k = 5 on, so at k = 6
-        # the budget stops Q's vertex enumeration before any count.
-        assert main(["count", "--graph", g4_path, "-k", "6", "--budget", "5"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: vertex enumeration exceeded the budget of 5 pair tests")
+    def test_count_past_the_gate_of_a_dear_q_keeps_the_default_budget(self, tmp_path, capsys):
+        # gn(14)'s Q takes 29.8M pair tests, past the default budget of
+        # 10^7; at k = 15, its gate, the lookups stay under their caps.
+        path = tmp_path / "g14.json"
+        assert main(["gen", "--family", "gn", "-n", "14", "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["count", "--graph", str(path), "-k", "15"]) == 0
+        assert str(closed_form_mn(14, 15)) in capsys.readouterr().out
 
     def test_vertices_budget_exit_code(self, g4_path, capsys):
         assert main(["vertices", "--graph", g4_path, "--budget", "5"]) == 3

@@ -14,6 +14,7 @@ from magiclab import (
     bouquet,
     build_graph,
     closed_form_mn,
+    coefficient_periods,
     cycle_graph,
     count_index_k,
     count_magic_k,
@@ -344,9 +345,16 @@ class TestCountSeries:
         assert len(seen) == calls
 
 
+def eight_edges():
+    """Five vertices, eight edges: Q's periods take 176 closures."""
+    edges = "01 02 03 04 12 13 24 34".split()
+    return build_graph(list("01234"), [list(e) for e in edges])
+
+
 class TestIndexRoute:
     """count_magic_k and count_series read their index passes from L_Q,
-    Stanley's index quasipolynomial, once k reaches its window."""
+    Stanley's index quasipolynomial, once Q's periods are found under a
+    cap and the passes hold its window."""
 
     def test_the_gate_is_m_minus_the_incidence_rank_plus_two(self):
         # gn(n): 3n edges, 2n + 2 vertices, bipartite and connected, so
@@ -356,56 +364,93 @@ class TestIndexRoute:
         k7 = build_graph(list("0123456"), list(itertools.combinations("0123456", 2)))
         assert labelings._index_gate(k7) == 16
 
-    def test_below_the_gate_no_window_is_looked_up(self, monkeypatch):
-        from magiclab import quasipolynomials
-
+    def test_below_the_gate_no_lookup_runs(self, monkeypatch):
         def looked_up(*args):
-            raise AssertionError("looked up Q's window below the gate")
+            raise AssertionError("looked up Q's periods below the gate")
 
-        monkeypatch.setattr(quasipolynomials, "_index_quasipolynomial", looked_up)
+        monkeypatch.setattr(labelings, "_index_periods", looked_up)
         assert count_magic_k(make_gn(4), 4) == closed_form_mn(4, 4)
         assert count_series(make_gn(4), 4)[0] == [closed_form_mn(4, k) for k in range(5)]
         with pytest.raises(AssertionError, match="below the gate"):
             count_magic_k(make_gn(4), 5)
 
-    def test_one_budget_covers_the_window_and_the_binding_passes(self):
-        # gn(4)'s window is the index passes 0..4, run at cap 4; at k = 6
-        # only the passes above 6 run on the DP besides.
-        g = make_gn(4)
-        window = labelings._count(g, [4] * 12, 0, 4, None)[1]
-        binding = labelings._count(g, [6] * 12, 7, None, None)[1]
-        total = window + binding
-        assert count_magic_k(g, 6, budget=total) == closed_form_mn(4, 6)
-        with pytest.raises(BudgetExceededError) as err:
-            count_magic_k(g, 6, budget=total - 1)
-        assert err.value.phase == "counting"
+    def test_the_lookups_cost_at_most_half_the_transitions_before_them(
+        self, monkeypatch
+    ):
+        # gn(14)'s Q takes 29.8M pair tests, and 15 is its gate.  Each
+        # lookup's cap is a power of 2 at most a quarter of the transitions
+        # used by then, larger than the last, and runs after one of the
+        # index passes 0..7, one DP call each; all fail, and the count
+        # ends on the pure DP's transitions.
+        g = make_gn(14)
+        count, periods = labelings._count, labelings._index_periods
+        used, caps, calls = [0], [], [0]
 
-    @pytest.mark.parametrize(
-        "budget, phase",
-        [(10, "vertex enumeration"), (175, "face enumeration"), (176, "counting")],
-    )
-    def test_the_lookup_counts_against_the_budget(self, budget, phase):
-        # The eight-edge graph's Q (gate 5, window 10) takes 12 pair tests
-        # and 176 closures before its window's passes.
-        edges = "01 02 03 04 12 13 24 34".split()
-        g = build_graph(list("01234"), [list(e) for e in edges])
-        for count in (count_magic_k, count_series):
+        def counted(*args):
+            counts, used[0] = count(*args)
+            calls[0] += 1
+            return counts, used[0]
+
+        def looked_up(g, cap):
+            caps.append(cap)
+            assert cap & (cap - 1) == 0 and 4 * cap <= used[0] and calls[0] <= 8
+            return periods(g, cap)
+
+        monkeypatch.setattr(labelings, "_count", counted)
+        monkeypatch.setattr(labelings, "_index_periods", looked_up)
+        assert count_magic_k(g, 15) == closed_form_mn(14, 15)
+        assert used[0] == count(g, [15] * len(g.edges), 0, None, None)[1]
+        assert len(caps) > 1 and caps == sorted(set(caps))
+        assert sum(caps) <= used[0] // 2
+
+    def test_a_lookup_is_memoised_per_graph_and_cap(self):
+        g = eight_edges()
+        assert labelings._index_periods(g, 128) is None
+        assert labelings._index_periods(g, 256) == coefficient_periods(g, "Q")
+        assert labelings._index_periods(path_graph(3), 1) == ()
+        for run in (count_magic_k, count_series):
+            run(g, 12)
+            misses = labelings._index_periods.cache_info().misses
+            run(g, 12)
+            assert labelings._index_periods.cache_info().misses == misses
+
+    @pytest.mark.parametrize("g, k", [(make_gn(4), 6), (eight_edges(), 12)], ids=["g4", "e8"])
+    def test_one_budget_covers_every_pass_and_no_lookup_raises(self, g, k, monkeypatch):
+        # The passes the route runs take fewer transitions than the pure
+        # count's or sweep's; a budget of exactly those passes passes, and
+        # one less stops in counting, never in a lookup.  The eight-edge
+        # graph's lookups fail up to cap 128.
+        count, used = labelings._count, [0]
+
+        def counted(*args):
+            counts, used[0] = count(*args)
+            return counts, used[0]
+
+        monkeypatch.setattr(labelings, "_count", counted)
+        pure = {
+            count_magic_k: lambda: count(g, [k] * len(g.edges), 0, None, None)[1],
+            count_series: lambda: (labelings._sweep(g, k, None), used[0])[1],
+        }
+        for run in (count_magic_k, count_series):
+            want = run(g, k)
+            total = used[0]
+            assert total < pure[run]()
+            assert run(g, k, budget=total) == want
             with pytest.raises(BudgetExceededError) as err:
-                count(g, 12, budget=budget)
-            assert err.value.phase == phase
+                run(g, k, budget=total - 1)
+            assert err.value.phase == "counting"
 
     def test_a_count_that_is_not_an_integer_raises(self, monkeypatch):
-        from magiclab import quasipolynomials
+        from magiclab.quasipolynomials import Quasipolynomial
 
-        # A constant 1/2: count_magic_k sums 7 of them at k = 6, to 7/2.
-        half = quasipolynomials.Quasipolynomial(1, ((Fraction(1, 2),),))
-        monkeypatch.setattr(
-            quasipolynomials, "_index_quasipolynomial", lambda g, k, budget: (half, 0)
-        )
-        with pytest.raises(ArithmeticError, match="^7/2 is not an integer count$"):
-            count_magic_k(make_gn(4), 6)
+        # A constant 1/2 from the first pass on: count_magic_k sums the
+        # five at t = 1..5, to 5/2.
+        half = Quasipolynomial(1, ((Fraction(1, 2),),))
+        monkeypatch.setattr(labelings._IndexRoute, "fit", lambda route, index, used: half)
+        with pytest.raises(ArithmeticError, match="^5/2 is not an integer count$"):
+            count_magic_k(make_gn(4), 5)
         with pytest.raises(ArithmeticError, match="^1/2 is not an integer count$"):
-            count_series(make_gn(4), 6)
+            count_series(make_gn(4), 5)
 
 
 class TestEnumerateIndexK:

@@ -387,30 +387,34 @@ def _index_periods(g: Graph, cap: int):
 class _IndexRoute:
     """Stanley's index count L_Q for the index passes 0..kmax of one count.
 
-    ``fit`` is asked after each index pass t, in order, with the index
-    counts so far and the state transitions used.  Once the transitions
-    reach four times the next power of 2, it looks up Q's coefficient
-    periods under that many pair tests and closures, each, and the next
-    lookup waits for twice the cap.  So all the lookups together take at
-    most half as many pair tests as the DP took transitions before them.
-    Lookups stop past t = kmax / 2: before that, at least as many index
-    passes are left as have run, each no cheaper, so a lookup's cap is
-    at most a quarter of the work the route may save.  A graph whose Q
-    is dear (gn(14): 29.8M pair tests) thus only adds failed lookups to
-    the passes it runs anyway.  Once the periods are known and the
-    passes hold their window N, it returns L_Q, fitted on every pass so
-    far.  ``on`` is False below the gate, for an empty Q, for N > kmax,
-    where no pass would be saved, and once the lookups stop unanswered.
+    Under a uniform cap k the DP's pass at an index t <= k never meets
+    the cap, so it counts the lattice points of t·Q, Q the index
+    polytope: it is L_Q(t), the Ehrhart quasipolynomial of Q, whose
+    period divides 2 (Stanley 1973).  ``_sweep`` asks ``fit`` after each
+    index pass t, in order, with the index counts so far and the state
+    transitions used.  From kmax = ``_index_gate`` on, once the
+    transitions reach four times the next power of 2, it looks up Q's
+    coefficient periods under that many pair tests and closures, each,
+    and the next lookup waits for twice the cap.  So all the lookups
+    together take at most half as many pair tests as the DP took
+    transitions before them.  Lookups stop past t = kmax / 2: before
+    that, at least as many index passes are left as have run, each no
+    cheaper, so a lookup's cap is at most a quarter of the work the
+    route may save.  A graph whose Q is dear (gn(14): 29.8M pair tests)
+    thus only adds failed lookups to the passes it runs anyway, and a
+    lookup over its cap is never an error.  Once the periods are known
+    and the passes hold their window N <= kmax, it returns L_Q, fitted
+    on every pass so far; the rest of the index counts are read from it,
+    and only the passes the cap binds still run, so the DP runs no pass
+    the pure DP does not.  It returns None below the gate, for an empty
+    Q, for N > kmax, where no pass would be saved, and until a lookup
+    succeeds.
     """
 
     def __init__(self, g: Graph, kmax: int):
         self.g, self.kmax, self.periods = g, kmax, None
         # The next lookup's cap; it runs at four times that many transitions.
         self.cap = 1 if kmax >= _index_gate(g) else None
-
-    @property
-    def on(self) -> bool:
-        return self.cap is not None
 
     def fit(self, index: list[int], used: int):
         from .quasipolynomials import fit_quasipolynomial, samples_needed
@@ -435,29 +439,37 @@ class _IndexRoute:
         return fit_quasipolynomial(index, self.periods, dim)
 
 
-def _integral(count) -> int:
-    # A count read from L_Q, which must be an integer: never truncated.
-    if count.denominator != 1:
-        raise ArithmeticError(f"{count} is not an integer count")
-    return count.numerator
-
-
-def _sweep(g: Graph, kmax: int, budget: int | None, route: _IndexRoute | None = None):
-    # count_series' loop.  Target k at cap k is count_index_k(g, k), read
-    # from the route's L_Q once it has one; the targets above k are
-    # binding.  No target runs when k exceeds every vertex capacity.
-    # Returns the magic and index counts for k = 0..kmax.
+def _sweep(
+    g: Graph,
+    kmax: int,
+    budget: int | None,
+    route: _IndexRoute | None = None,
+    every_k: bool = True,
+):
+    # The one counting loop, behind count_series, count_magic_k, the P
+    # sweep of ehrhart_of_polytope and verify-paper's pure counts.  Target
+    # k at cap k is count_index_k(g, k), read from the route's L_Q once it
+    # has one, each count checked whole and never truncated.  The targets
+    # above k bind the cap; they run at every k, or at kmax alone when
+    # not ``every_k`` (one count).  No target runs when k exceeds every
+    # vertex capacity.  Returns the magic and index counts for k =
+    # 0..kmax; without ``every_k`` only the last magic count is whole.
     magic, index = [], []
     below = used = 0
     fit = None
     for k in range(kmax + 1):
         caps = [k] * len(g.edges)
+        last = None if every_k or k == kmax else k
         if fit is None:
-            counts, used = _count(g, caps, k, None, budget, used)
+            counts, used = _count(g, caps, k, last, budget, used)
             here, above = (counts or [0])[0], counts[1:]
         else:
-            here = _integral(fit.evaluate(k))
-            above, used = _count(g, caps, k + 1, None, budget, used)
+            here, above = fit.evaluate(k), []
+            if here.denominator != 1:
+                raise ArithmeticError(f"{here} is not an integer count")
+            here = here.numerator
+            if last is None:
+                above, used = _count(g, caps, k + 1, None, budget, used)
         index.append(here)
         below += here
         magic.append(below + sum(above))
@@ -477,12 +489,11 @@ def count_series(
     ``count_index_k(g, t)``.  The sweep therefore runs each index pass
     once, and for each k only the passes at the targets above k, which
     the cap does bind: the magic count is the sum of the index counts up
-    to k plus those.  On the Ehrhart sweeps of gn(4..7) that is 18-33%
-    of the transitions of one ``count_magic_k`` per k.  Past the window
-    of Stanley's index quasipolynomial L_Q, once it is found (as in
-    ``count_magic_k``), the index counts are read from L_Q and only the
-    binding passes run.  ``budget`` caps the state transitions of every
-    pass of the sweep together.
+    to k plus those.  On the Ehrhart sweeps of gn(4..7) that is 24-39%
+    of the transitions of one pure ``count_magic_k`` per k.  The index
+    counts past the window of Stanley's index quasipolynomial are read
+    from it (see ``_IndexRoute``).  ``budget`` caps the state
+    transitions of every pass of the sweep together.
     """
     kmax = as_int(kmax, "kmax")
     return _sweep(g, kmax, budget, _IndexRoute(g, kmax))
@@ -512,35 +523,13 @@ def count_magic_k(g: Graph, k: int, *, budget: int | None = None) -> int:
     any above 4k/3) counts 0 without a pass, and the first one ends the
     passes, as no larger index is reachable either.  ``budget`` caps the
     state transitions: one per (state, label value), over every index.
-    For every k up to some kmax, ``count_series`` gives the same counts
-    and runs each pass at an index up to k only once.
-
-    The passes at an index t <= k, which the cap never binds, count the
-    lattice points of t·Q, Q the index polytope, so they follow its
-    Ehrhart quasipolynomial L_Q (Stanley 1973: its period divides 2).
-    From k = m - rank(A) + 2 on (A the vertex-edge incidence matrix; a
-    cheap gate, n + 1 on gn(n)), the index passes run one at a time, and
-    Q's coefficient periods are looked up under a cap of a quarter of the
-    transitions used so far, up to the pass at k / 2 (see
-    ``_IndexRoute``).  Once they are found
-    and the passes hold the window N <= k, the rest of the index counts
-    up to k are read from L_Q and summed exactly, and only the passes
-    above k run.  A lookup over its cap is never an error: the passes
-    just go on.  So the DP runs no pass the pure count does not, and the
-    lookups add at most half its transitions.  ``budget`` caps the state
-    transitions only.
+    It is the last count of ``count_series``' sweep to k, run with the
+    passes the cap binds at k alone; the index passes up to k are read
+    from Stanley's index quasipolynomial once its window is reached (see
+    ``_IndexRoute``).
     """
-    caps = _uniform_caps(g, k)
-    route, index, used = _IndexRoute(g, k), [], 0
-    while route.on and len(index) <= k:
-        t = len(index)
-        counts, used = _count(g, caps, t, t, budget, used)
-        index += counts or [0]
-        fit = route.fit(index, used)
-        if fit is not None:
-            below = sum(index) + _integral(sum(map(fit.evaluate, range(t + 1, k + 1))))
-            return below + sum(_count(g, caps, k + 1, None, budget, used)[0])
-    return sum(index) + sum(_count(g, caps, len(index), None, budget, used)[0])
+    k = as_int(k, "k")
+    return _sweep(g, k, budget, _IndexRoute(g, k), every_k=False)[0][-1]
 
 
 def enumerate_index_k(g: Graph, k: int, *, budget: int | None = None) -> list[Labeling]:

@@ -374,15 +374,29 @@ class TestIndexRoute:
         with pytest.raises(AssertionError, match="below the gate"):
             count_magic_k(make_gn(4), 5)
 
+    @pytest.mark.parametrize(
+        "run, n, k, transitions",
+        [
+            (count_magic_k, 4, 3, 212),
+            (count_magic_k, 5, 25, 8_247),
+            (count_magic_k, 8, 60, 148_032),
+            (count_magic_k, 14, 15, 38_622),
+            (count_series, 4, 20, 21_424),
+            (count_series, 5, 16, 9_063),
+        ],
+        ids=["g4-3", "g5-25", "g8-60", "g14-15", "series-g4-20", "series-g5-16"],
+    )
     def test_the_lookups_cost_at_most_half_the_transitions_before_them(
-        self, monkeypatch
+        self, monkeypatch, run, n, k, transitions
     ):
-        # gn(14)'s Q takes 29.8M pair tests, and 15 is its gate.  Each
-        # lookup's cap is a power of 2 at most a quarter of the transitions
-        # used by then, larger than the last, and runs after one of the
-        # index passes 0..7, one DP call each; all fail, and the count
-        # ends on the pure DP's transitions.
-        g = make_gn(14)
+        # The transitions are pinned, so a pass gained or lost fails.  From
+        # the gate on, each lookup's cap is a power of 2 at most a quarter
+        # of the transitions used by then, larger than the last, and runs
+        # after one of the index passes up to k / 2, one DP call each.
+        # gn(4) at 3 is below the gate, with no lookup.  gn(14)'s Q takes
+        # 29.8M pair tests, and 15 is its gate: every lookup fails, and the
+        # count ends on the pure DP's 38,622 transitions.
+        g = make_gn(n)
         count, periods = labelings._count, labelings._index_periods
         used, caps, calls = [0], [], [0]
 
@@ -393,15 +407,17 @@ class TestIndexRoute:
 
         def looked_up(g, cap):
             caps.append(cap)
-            assert cap & (cap - 1) == 0 and 4 * cap <= used[0] and calls[0] <= 8
+            assert cap & (cap - 1) == 0 and 4 * cap <= used[0] and calls[0] <= k // 2 + 1
             return periods(g, cap)
 
         monkeypatch.setattr(labelings, "_count", counted)
         monkeypatch.setattr(labelings, "_index_periods", looked_up)
-        assert count_magic_k(g, 15) == closed_form_mn(14, 15)
-        assert used[0] == count(g, [15] * len(g.edges), 0, None, None)[1]
-        assert len(caps) > 1 and caps == sorted(set(caps))
-        assert sum(caps) <= used[0] // 2
+        want = [closed_form_mn(n, t) for t in range(k + 1)]
+        got = run(g, k)
+        assert (got == want[-1]) if run is count_magic_k else (got[0] == want)
+        assert used[0] == transitions
+        assert bool(caps) == (k >= labelings._index_gate(g))
+        assert caps == sorted(set(caps)) and sum(caps) <= used[0] // 2
 
     def test_a_lookup_is_memoised_per_graph_and_cap(self):
         g = eight_edges()
@@ -443,11 +459,11 @@ class TestIndexRoute:
     def test_a_count_that_is_not_an_integer_raises(self, monkeypatch):
         from magiclab.quasipolynomials import Quasipolynomial
 
-        # A constant 1/2 from the first pass on: count_magic_k sums the
-        # five at t = 1..5, to 5/2.
+        # A constant 1/2 from the first pass on: both counts check each
+        # count read from it, and the first, at t = 1, is 1/2.
         half = Quasipolynomial(1, ((Fraction(1, 2),),))
         monkeypatch.setattr(labelings._IndexRoute, "fit", lambda route, index, used: half)
-        with pytest.raises(ArithmeticError, match="^5/2 is not an integer count$"):
+        with pytest.raises(ArithmeticError, match="^1/2 is not an integer count$"):
             count_magic_k(make_gn(4), 5)
         with pytest.raises(ArithmeticError, match="^1/2 is not an integer count$"):
             count_series(make_gn(4), 5)
